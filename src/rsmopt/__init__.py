@@ -7,7 +7,6 @@ from .model import (
     TermSpec,
     build_design_matrix,
     evaluate_basis,
-    region_contains,
 )
 from .fit import (
     CovCompare,
@@ -19,6 +18,7 @@ from .fit import (
     fit_ols,
     matrix_criterion,
     matrix_sqrt,
+    moments,
     predict,
     unit_variance,
 )

@@ -175,7 +175,6 @@ def _assemble(rows, response_order, origin: str) -> ExperimentData:
 @dataclass
 class SolverSettings:
     resolution: float = 0.01
-    tol: float = 1e-12
     penalty_schedule: tuple[float, ...] = DEFAULT_PENALTY_SCHEDULE
     seed: int = 0
     multistart_k: int = 16
@@ -233,7 +232,6 @@ def load_config(path: str | Path) -> RunConfig:
         solver_doc = doc.get("solver", {})
         solver = SolverSettings(
             resolution=float(solver_doc.get("resolution", 0.01)),
-            tol=float(solver_doc.get("tol", 1e-12)),
             penalty_schedule=tuple(
                 solver_doc.get("penalty_schedule", DEFAULT_PENALTY_SCHEDULE)
             ),
@@ -371,7 +369,8 @@ def build_report(model: FittedModel, config: RunConfig) -> dict:
                 row["error"] = "did not converge"
                 failed = True
         except Exception as exc:  # one bad method must not sink the report
-            row = {"method": spec.name, "error": str(exc), "converged": False}
+            row = {"method": spec.name, "error": f"{type(exc).__name__}: {exc}",
+                   "converged": False}
             failed = True
         rows.append(row)
     for label, x in config.fixed_points:

@@ -1,7 +1,8 @@
 """Multivariate least squares and covariance machinery.
 
 Fits all responses against a shared design matrix and provides the
-pointwise prediction covariance q(x)*Sigma together with the matrix
+pointwise moments of the prediction: the means m(x) = z(x)'B and the unit
+variance q(x) = z(x)'(X'X)^{-1} z(x), which scales Sigma. Also the matrix
 criteria and the sorted-eigenvalue comparison used to rank covariance
 matrices.
 """
@@ -19,6 +20,7 @@ __all__ = [
     "FittedModel",
     "CovCompare",
     "fit_ols",
+    "moments",
     "predict",
     "unit_variance",
     "covariance_at",
@@ -27,9 +29,6 @@ __all__ = [
     "matrix_sqrt",
     "compare_covariances",
 ]
-
-MATRIX_CRITERIA = ("trace", "determinant", "elementsum", "lambda_max", "lambda_min", "lambda_j")
-
 
 class SingularDesignError(ValueError):
     """X'X is numerically rank deficient."""
@@ -101,6 +100,18 @@ def fit_ols(X: np.ndarray, Y: np.ndarray, terms: TermSpec) -> FittedModel:
     )
 
 
+def _quadratic_form(z: np.ndarray, a: np.ndarray):
+    """z' A z over the last axis of z."""
+    return np.einsum("...i,ij,...j->...", z, a, z)
+
+
+def moments(model: FittedModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """(m(x), q(x)) from one basis evaluation: the predicted means, shape
+    (..., r), and the unit variance, shape (...)."""
+    z = evaluate_basis(x, model.terms)
+    return z @ model.b_hat, _quadratic_form(z, model.xtx_inv)
+
+
 def predict(model: FittedModel, x) -> np.ndarray:
     """Predicted response vector z'(x) b_hat; batch-aware over leading axes."""
     z = evaluate_basis(x, model.terms)
@@ -109,8 +120,7 @@ def predict(model: FittedModel, x) -> np.ndarray:
 
 def unit_variance(model: FittedModel, x) -> np.ndarray | float:
     """q(x) = z'(x) (X'X)^{-1} z(x); the shared scale of all prediction variances."""
-    z = evaluate_basis(x, model.terms)
-    q = np.einsum("...i,ij,...j->...", z, model.xtx_inv, z)
+    q = _quadratic_form(evaluate_basis(x, model.terms), model.xtx_inv)
     return float(q) if np.ndim(q) == 0 else q
 
 

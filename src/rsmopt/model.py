@@ -17,7 +17,6 @@ __all__ = [
     "ExperimentData",
     "evaluate_basis",
     "build_design_matrix",
-    "region_contains",
 ]
 
 
@@ -49,10 +48,16 @@ class TermSpec:
     Each term is a sorted tuple of factor indices; the empty tuple is the
     intercept. Total degree of every term is at most 2 and the intercept
     comes first, matching the coefficient ordering used downstream.
+
+    Every term is also stored as an index pair (a, b) into the augmented
+    point [x, 1], so that term j is [x, 1][a_j] * [x, 1][b_j]: the
+    intercept is (n, n), a linear term (i, n), a square or cross term (i, j).
     """
 
     n: int
     terms: tuple[tuple[int, ...], ...]
+    pair_a: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -68,6 +73,9 @@ class TermSpec:
                 raise ValueError(f"monomial degree > 2: {t}")
             if any(i < 0 or i >= self.n for i in t):
                 raise ValueError(f"factor index out of range: {t}")
+        pairs = np.array([t + (self.n,) * (2 - len(t)) for t in terms], dtype=np.intp)
+        object.__setattr__(self, "pair_a", pairs[:, 0])
+        object.__setattr__(self, "pair_b", pairs[:, 1])
 
     @property
     def p(self) -> int:
@@ -169,10 +177,6 @@ class Region:
         return x * (self.radius / nrm)
 
 
-def region_contains(region: Region, x, atol: float = 0.0) -> bool:
-    return region.contains(x, atol=atol)
-
-
 @dataclass(frozen=True)
 class Run:
     """One design point: coded factor settings and replicated observations.
@@ -236,18 +240,16 @@ def evaluate_basis(x, terms: TermSpec) -> np.ndarray:
     """Evaluate z(x) for a single point (n,) or a batch (..., n).
 
     Component j is the product of the factors named by monomial j; the
-    intercept evaluates to 1. Ordering follows ``terms`` exactly.
+    intercept evaluates to 1. Ordering follows ``terms`` exactly. This is
+    the only place z(x) is built.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != terms.n:
         raise ValueError(f"expected {terms.n} factors, got {x.shape[-1]}")
-    cols = []
-    for t in terms.terms:
-        col = np.ones(x.shape[:-1])
-        for i in t:
-            col = col * x[..., i]
-        cols.append(col)
-    return np.stack(cols, axis=-1)
+    x1 = np.empty(x.shape[:-1] + (terms.n + 1,))
+    x1[..., :-1] = x
+    x1[..., -1] = 1.0
+    return x1.take(terms.pair_a, axis=-1) * x1.take(terms.pair_b, axis=-1)
 
 
 def build_design_matrix(
@@ -260,14 +262,10 @@ def build_design_matrix(
     """
     if terms.n != data.n_factors:
         raise ValueError("term spec and data disagree on factor count")
-    x_rows, y_rows = [], []
-    for run in data.runs:
-        z = evaluate_basis(run.x, terms)
-        for rep in run.y:
-            x_rows.append(z)
-            y_rows.append(rep)
-    X = np.array(x_rows, dtype=float)
-    Y = np.array(y_rows, dtype=float)
+    reps = [run.y.shape[0] for run in data.runs]
+    X = np.repeat(evaluate_basis(np.stack([run.x for run in data.runs]), terms),
+                  reps, axis=0)
+    Y = np.concatenate([run.y for run in data.runs], axis=0)
     if terms.p > X.shape[0]:
         raise ValueError(
             f"underdetermined design: p={terms.p} exceeds N={X.shape[0]}"

@@ -6,7 +6,11 @@ constraints, and a feasible region. Objectives are vectorized over a
 leading batch axis so the grid oracle can evaluate millions of points.
 
 Notation used throughout: m_k(x) is the predicted mean of response k and
-s_k(x) = sqrt(sigma_kk * q(x)) its prediction standard deviation.
+s_k(x) = sqrt(q(x) * sigma_kk) its prediction standard deviation.
+Every objective and constraint reads x only through (m, q): a method that
+needs both gets them from one ``moments`` call per evaluation, and one that
+needs only one of them calls ``predict`` or ``unit_variance``. What does not
+depend on x (a normal quantile, diag Sigma) is computed once per program.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
-from .fit import FittedModel, covariance_at, matrix_sqrt, predict, unit_variance
+from .fit import FittedModel, covariance_at, matrix_sqrt, moments, predict, unit_variance
 from .model import Region
 
 __all__ = [
@@ -110,12 +113,6 @@ def _require(cfg: MethodConfig, *names: str) -> None:
             raise ValueError(f"method requires config field {name!r}")
 
 
-def _std_dev(model: FittedModel, x) -> np.ndarray:
-    """s_k(x) for all k; shape (..., r)."""
-    q = np.asarray(unit_variance(model, x))
-    return np.sqrt(np.multiply.outer(q, np.diag(model.sigma_hat)))
-
-
 def v_model(model: FittedModel, cfg: MethodConfig | None = None,
             region: Region | None = None) -> ScalarProgram:
     """Minimum-variance program: every matrix criterion of q(x)*Sigma shares
@@ -147,7 +144,8 @@ def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
     w, r1, r2, scale = cfg.w, cfg.r1, cfg.r2, cfg.variance_scale
 
     def objective(x):
-        return r1 * (predict(model, x) @ w) + r2 * scale * np.asarray(unit_variance(model, x))
+        m, q = moments(model, x)
+        return r1 * (m @ w) + r2 * scale * q
 
     return ScalarProgram(
         objective=objective,
@@ -173,21 +171,32 @@ def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
     )
 
 
+def _p_model_fn(model: FittedModel, tau) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> (tau_k - m_k(x)) / s_k(x), with diag Sigma taken once."""
+    tau = np.asarray(tau, dtype=float)
+    var_diag = np.diag(model.sigma_hat)
+
+    def terms(x):
+        m, q = moments(model, x)
+        s = np.sqrt(np.multiply.outer(q, var_diag))
+        if np.any(s <= 0):
+            raise ValueError("zero prediction variance")
+        return (tau - m) / s
+
+    return terms
+
+
 def p_model_terms(model: FittedModel, tau, x) -> np.ndarray:
     """Standardized shortfalls (tau_k - m_k(x)) / s_k(x); shape (..., r)."""
-    tau = np.asarray(tau, dtype=float)
-    s = _std_dev(model, x)
-    if np.any(s <= 0):
-        raise ValueError("zero prediction variance")
-    return (tau - predict(model, x)) / s
+    return _p_model_fn(model, tau)(x)
 
 
 def p_model_weighting(model: FittedModel, cfg: MethodConfig,
                       region: Region | None = None) -> ScalarProgram:
     _require(cfg, "tau", "w")
-    tau, w = cfg.tau, cfg.w
+    terms, w = _p_model_fn(model, cfg.tau), cfg.w
     return ScalarProgram(
-        objective=lambda x: p_model_terms(model, tau, x) @ w,
+        objective=lambda x: terms(x) @ w,
         region=_default_region(model, region),
         descriptor="p-model-weighting",
     )
@@ -197,16 +206,16 @@ def p_model_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Keep one standardized term as objective; pin the others to epsilon."""
     _require(cfg, "tau", "primary_index", "epsilon")
-    tau, eps = cfg.tau, cfg.epsilon
+    terms, eps = _p_model_fn(model, cfg.tau), cfg.epsilon
     k_star = cfg.primary_index - 1
     if not 0 <= k_star < model.r:
         raise ValueError("primary_index out of range")
 
     def make_constraint(k: int):
-        return lambda x: p_model_terms(model, tau, x)[..., k] - eps[k]
+        return lambda x: terms(x)[..., k] - eps[k]
 
     return ScalarProgram(
-        objective=lambda x: p_model_terms(model, tau, x)[..., k_star],
+        objective=lambda x: terms(x)[..., k_star],
         eq_constraints=tuple(
             make_constraint(k) for k in range(model.r) if k != k_star
         ),
@@ -215,18 +224,30 @@ def p_model_epsilon(model: FittedModel, cfg: MethodConfig,
     )
 
 
+def _kataoka_fn(model: FittedModel, cfg: MethodConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> m_k(x) + quantile * s_k(x), with the quantile and diag Sigma
+    taken once."""
+    quant = normal_quantile(cfg.confidence)
+    var_diag = np.diag(model.sigma_hat)
+
+    def terms(x):
+        m, q = moments(model, x)
+        return m + quant * np.sqrt(np.multiply.outer(q, var_diag))
+
+    return terms
+
+
 def kataoka_terms(model: FittedModel, cfg: MethodConfig, x) -> np.ndarray:
     """m_k(x) + quantile(confidence) * s_k(x); shape (..., r)."""
-    quant = normal_quantile(cfg.confidence)
-    return predict(model, x) + quant * _std_dev(model, x)
+    return _kataoka_fn(model, cfg)(x)
 
 
 def kataoka_weighting(model: FittedModel, cfg: MethodConfig,
                       region: Region | None = None) -> ScalarProgram:
     _require(cfg, "w")
-    w = cfg.w
+    terms, w = _kataoka_fn(model, cfg), cfg.w
     return ScalarProgram(
-        objective=lambda x: kataoka_terms(model, cfg, x) @ w,
+        objective=lambda x: terms(x) @ w,
         region=_default_region(model, region),
         descriptor="kataoka-weighting",
     )
@@ -236,16 +257,16 @@ def kataoka_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Minimize the primary Kataoka term; pin the others to their targets."""
     _require(cfg, "tau", "primary_index")
-    tau = cfg.tau
+    terms, tau = _kataoka_fn(model, cfg), cfg.tau
     k_star = cfg.primary_index - 1
     if not 0 <= k_star < model.r:
         raise ValueError("primary_index out of range")
 
     def make_constraint(k: int):
-        return lambda x: kataoka_terms(model, cfg, x)[..., k] - tau[k]
+        return lambda x: terms(x)[..., k] - tau[k]
 
     return ScalarProgram(
-        objective=lambda x: kataoka_terms(model, cfg, x)[..., k_star],
+        objective=lambda x: terms(x)[..., k_star],
         eq_constraints=tuple(
             make_constraint(k) for k in range(model.r) if k != k_star
         ),
@@ -268,9 +289,9 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
                      region: Region | None = None) -> ScalarProgram:
     """Sum of weighted deviations; identical to sum w_k |term_k - tau_k|."""
     _require(cfg, "tau", "w")
-    tau, w = cfg.tau, cfg.w
+    terms, tau, w = _kataoka_fn(model, cfg), cfg.tau, cfg.w
     return ScalarProgram(
-        objective=lambda x: np.abs(kataoka_terms(model, cfg, x) - tau) @ w,
+        objective=lambda x: np.abs(terms(x) - tau) @ w,
         region=_default_region(model, region),
         descriptor="goal-programming",
     )
@@ -281,6 +302,8 @@ def normal_quantile(prob: float) -> float:
     prob = float(prob)
     if not 0.0 < prob < 1.0:
         raise ValueError("probability must lie strictly inside (0, 1)")
+    from scipy.special import ndtri  # imported on first use: scipy loads slowly
+
     return float(ndtri(prob))
 
 

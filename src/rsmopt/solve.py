@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .model import Region
 from .programs import ScalarProgram
@@ -29,6 +27,9 @@ __all__ = [
 ]
 
 MAX_GRID_NODES = int(2e8)
+# Grid nodes scored per batch: large enough that per-batch overhead is
+# small, small enough that the (chunk, p) basis temporaries stay a few MB.
+GRID_CHUNK = 65_536
 DEFAULT_PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5)
 # Penalty weight the grid oracle applies to squared residuals. Balances
 # two opposing biases at the default 0.01 grid: too large and the
@@ -116,13 +117,17 @@ def grid_search(program: ScalarProgram, resolution: float,
     best_x: np.ndarray | None = None
     evaluations = 0
 
-    for pts in _grid_chunks(axes, int(1e6)):
+    for pts in _grid_chunks(axes, GRID_CHUNK):
         if in_region is not None:
             pts = pts[in_region(pts)]
             if pts.shape[0] == 0:
                 continue
         scores = np.asarray(score_fn(pts), dtype=float)
         evaluations += pts.shape[0]
+        nan = np.isnan(scores)
+        if nan.any():
+            raise ValueError(f"{program.descriptor}: objective is NaN at grid node "
+                             f"{pts[int(np.argmax(nan))].tolist()}")
         idx = int(np.argmin(scores))
         s = float(scores[idx])
         if s < best_score - 1e-15:
@@ -134,7 +139,9 @@ def grid_search(program: ScalarProgram, resolution: float,
                 best_x = cand.copy()
         # exact ties within a chunk: argmin returns the first, and chunks
         # are generated in lexicographic order, so the rule holds.
-    assert best_x is not None
+    if best_x is None:
+        raise ValueError(f"{program.descriptor}: no grid node at resolution "
+                         f"{resolution:g} lies inside the region")
     residuals = _residuals_at(program, best_x)
     return SolveResult(
         x_star=best_x,
@@ -165,12 +172,19 @@ def _grid_chunks(axes: list[np.ndarray], chunk: int):
 def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10,
                 objective=None) -> SolveResult:
     """Bound-clipped simplex polish; never returns a point worse than x0."""
+    from scipy.optimize import minimize  # imported on first use: scipy loads slowly
+
     region = program.region
     x0 = region.clip(np.asarray(x0, dtype=float))
     fn = objective if objective is not None else program.objective
 
-    def scalar_fn(x):
-        return float(fn(region.clip(x)))
+    if region.kind == "hypercube":
+        # scipy's bounded Nelder-Mead clips every point it evaluates to the box
+        def scalar_fn(x):
+            return float(fn(x))
+    else:
+        def scalar_fn(x):
+            return float(fn(region.clip(x)))
 
     lo, hi = region.bounding_box(x0.size)
     res = minimize(
@@ -236,6 +250,8 @@ def penalty_solve(program: ScalarProgram,
 
 
 def _start_points(program: ScalarProgram, k: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc  # imported on first use: scipy loads slowly
+
     region = program.region
     n = _region_dim(program)
     lo, hi = region.bounding_box(n)
@@ -254,18 +270,19 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0,
         raise ValueError("k must be >= 1")
     coarse = grid_search(program, resolution=0.1,
                          penalty_weight=GRID_PENALTY_WEIGHT)
-    starts = [coarse.x_star] + list(_start_points(program, k, seed))
-    evaluations = coarse.evaluations
-    best: SolveResult | None = None
-    for x0 in starts:
+
+    def local(x0) -> SolveResult:
         if program.eq_constraints:
-            cand = penalty_solve(program, schedule=schedule, x0=x0)
-        else:
-            cand = nelder_mead(program, x0)
+            return penalty_solve(program, schedule=schedule, x0=x0)
+        return nelder_mead(program, x0)
+
+    best = local(coarse.x_star)
+    evaluations = coarse.evaluations + best.evaluations
+    for x0 in _start_points(program, k, seed):
+        cand = local(x0)
         evaluations += cand.evaluations
-        if best is None or _better(cand, best):
+        if _better(cand, best):
             best = cand
-    assert best is not None
     return SolveResult(
         x_star=best.x_star,
         f_star=best.f_star,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,29 @@ class TestCommands:
         assert main([]) == 1
         capsys.readouterr()
 
+    def test_ball_without_grid_nodes_is_data_error(self, small_config, tmp_path, capsys):
+        doc = json.loads(small_config.read_text())
+        # the coarse grid's 0.1 step puts no node inside a 0.05 ball
+        doc["region"] = {"kind": "hypersphere", "radius": 0.05, "dim": 3}
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["optimize", "--config", str(path), "--method", "v-model"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "no grid node" in err
+
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rsmopt.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_optimize_v_model(self, small_config, tmp_path):
         out = tmp_path / "row.json"
         rc = main(["optimize", "--config", str(small_config),
@@ -241,6 +268,17 @@ class TestReport:
             assert rc == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+    def test_failed_method_keeps_exception_type(self, example_model, small_config,
+                                                tmp_path):
+        doc = json.loads(small_config.read_text())
+        doc["methods"] = [{"name": "p-model-epsilon", "tau": [103, 73],
+                           "primary": 5, "epsilon": [0, 0]}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        report = build_report(example_model, load_config(path))
+        assert report["failed"]
+        assert report["rows"][0]["error"] == "ValueError: primary_index out of range"
 
     def test_var_cov_recomputed_from_model(self, example_model, small_config):
         config = load_config(small_config)

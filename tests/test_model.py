@@ -10,7 +10,6 @@ from rsmopt.model import (
     TermSpec,
     build_design_matrix,
     evaluate_basis,
-    region_contains,
 )
 
 INTERACTION_TERMS = ["1", "x1", "x2", "x3", "x1*x2", "x1*x3", "x2*x3"]
@@ -61,6 +60,11 @@ class TestEvaluateBasis:
         expected = [1, 0.5, -1, 0.2, 0.25, 1, 0.04, -0.5, 0.1, -0.2]
         assert z == pytest.approx(expected)
 
+    def test_index_pairs_into_augmented_point(self):
+        spec = TermSpec.from_names(["1", "x2", "x1^2", "x1*x3"], 3)
+        assert spec.pair_a.tolist() == [3, 1, 0, 0]
+        assert spec.pair_b.tolist() == [3, 3, 0, 2]
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evaluate_basis((1, 2), interaction_spec())
@@ -94,15 +98,15 @@ class TestEvaluateBasis:
 class TestRegion:
     def test_paper_solution_point_inside(self):
         cube = Region.unit_cube(3)
-        assert region_contains(cube, (1.0, 0.707, 0.452))
+        assert cube.contains((1.0, 0.707, 0.452))
 
     def test_outside_box(self):
-        assert not region_contains(Region.unit_cube(3), (1.01, 0, 0))
+        assert not Region.unit_cube(3).contains((1.01, 0, 0))
 
     def test_sphere_boundary(self):
         ball = Region.hypersphere(1.0, dim=3)
-        assert region_contains(ball, (0.6, 0.8, 0.0))
-        assert not region_contains(ball, (0.6, 0.8, 0.1))
+        assert ball.contains((0.6, 0.8, 0.0))
+        assert not ball.contains((0.6, 0.8, 0.1))
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):

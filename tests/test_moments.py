@@ -1,0 +1,114 @@
+"""The index-pair basis and the (m, q) moments against reference formulas.
+
+``evaluate_basis_loop`` is the per-term product loop that builds z(x) one
+monomial at a time; the production ``evaluate_basis`` must agree with it
+exactly. The Kataoka and P-model terms are recomputed here from that
+reference z(x) with their textbook formulas.
+"""
+
+from statistics import NormalDist
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rsmopt.fit import FittedModel, moments, predict, unit_variance
+from rsmopt.model import TermSpec, evaluate_basis
+from rsmopt.programs import MethodConfig, kataoka_terms, p_model_terms
+
+
+def evaluate_basis_loop(x, terms: TermSpec) -> np.ndarray:
+    """Reference z(x): each column is a product over the term's factors."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for t in terms.terms:
+        col = np.ones(x.shape[:-1])
+        for i in t:
+            col = col * x[..., i]
+        cols.append(col)
+    return np.stack(cols, axis=-1)
+
+
+@st.composite
+def term_specs(draw):
+    """Intercept plus a random subset of linear, square and cross terms."""
+    n = draw(st.integers(1, 5))
+    candidates = [(i,) for i in range(n)]
+    candidates += [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = draw(st.lists(st.sampled_from(candidates), min_size=1,
+                           max_size=len(candidates), unique=True))
+    return TermSpec(n=n, terms=((),) + tuple(chosen))
+
+
+@st.composite
+def cases(draw):
+    """A random model over a random term set, and a batch of points."""
+    terms = draw(term_specs())
+    r = draw(st.integers(1, 3))
+    k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (k,), (k, l)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = terms.p
+    a = rng.standard_normal((p, p))
+    s = rng.standard_normal((r, r))
+    model = FittedModel(
+        terms=terms,
+        b_hat=rng.standard_normal((p, r)) * 10.0,
+        sigma_hat=s @ s.T + 0.1 * np.eye(r),
+        xtx_inv=a @ a.T / p + 0.01 * np.eye(p),
+        residuals=np.zeros((p + 1, r)),
+        n_obs=p + 1,
+    )
+    x = rng.uniform(-2.0, 2.0, size=batch + (terms.n,))
+    tau = rng.uniform(-5.0, 5.0, size=r)
+    confidence = float(rng.uniform(0.05, 0.95))
+    return model, x, tau, confidence
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_index_pair_basis_equals_loop_reference(case):
+    model, x, _, _ = case
+    got = evaluate_basis(x, model.terms)
+    want = evaluate_basis_loop(x, model.terms)
+    assert got.shape == x.shape[:-1] + (model.p,)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_moments_match_predict_and_unit_variance(case):
+    model, x, _, _ = case
+    m, q = moments(model, x)
+    assert np.array_equal(m, predict(model, x))
+    assert np.array_equal(q, unit_variance(model, x))
+    assert np.shape(m) == x.shape[:-1] + (model.r,)
+    assert np.shape(q) == x.shape[:-1]
+
+
+def reference_moments(model, x):
+    z = evaluate_basis_loop(x, model.terms)
+    m = z @ model.b_hat
+    q = np.sum((z @ model.xtx_inv) * z, axis=-1)
+    s = np.sqrt(q[..., None] * np.diag(model.sigma_hat))
+    return m, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_kataoka_terms_match_textbook_formula(case):
+    model, x, _, confidence = case
+    m, s = reference_moments(model, x)
+    want = m + NormalDist().inv_cdf(confidence) * s
+    got = kataoka_terms(model, MethodConfig(confidence=confidence), x)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases())
+def test_p_model_terms_match_textbook_formula(case):
+    model, x, tau, _ = case
+    m, s = reference_moments(model, x)
+    want = (tau - m) / s
+    got = p_model_terms(model, tau, x)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))

@@ -14,6 +14,8 @@ from rsmopt.programs import (
     v_model,
 )
 from rsmopt.solve import (
+    GRID_CHUNK,
+    _grid_chunks,
     grid_search,
     multistart,
     nelder_mead,
@@ -54,6 +56,36 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="grid too large"):
             grid_search(constant_program(), 1e-4)
 
+    def test_chunks_keep_lexicographic_order_at_any_size(self):
+        axes = [np.linspace(-1, 1, 5), np.linspace(0, 1, 3), np.linspace(-2, 2, 7)]
+        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        for chunk in (7, GRID_CHUNK):
+            got = np.concatenate(list(_grid_chunks(axes, chunk)))
+            assert np.array_equal(got, want)
+
+    def test_nan_objective_is_rejected(self):
+        all_nan = ScalarProgram(
+            objective=lambda x: np.full(np.asarray(x).shape[:-1], np.nan),
+            region=Region.unit_cube(2),
+            descriptor="all nan",
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            grid_search(all_nan, 0.5)
+        one_nan = ScalarProgram(
+            objective=lambda x: np.where(x[..., 0] > 0.7, np.nan, x[..., 1]),
+            region=Region.unit_cube(2),
+            descriptor="one nan",
+        )
+        with pytest.raises(ValueError, match=r"NaN at grid node \[1\.0, -1\.0\]"):
+            grid_search(one_nan, 0.5)
+
+    def test_ball_without_grid_nodes(self, example_model):
+        prog = v_model(example_model, region=Region.hypersphere(0.05, dim=3))
+        with pytest.raises(ValueError, match="no grid node"):
+            grid_search(prog, 0.1)
+        with pytest.raises(ValueError, match="no grid node"):
+            multistart(prog, k=2, seed=0)
+
     def test_hypersphere_rejection(self, example_model):
         prog = v_model(example_model, MethodConfig(variance_scale=1.0),
                        region=Region.hypersphere(1.0, dim=3))
@@ -91,6 +123,18 @@ class TestNelderMead:
         warm = grid_search(prog, 0.1)
         res = nelder_mead(prog, warm.x_star)
         assert res.f_star == pytest.approx(39.588, abs=0.02)
+
+    def test_objective_sees_only_points_in_the_box(self, example_model):
+        seen = []
+        base = v_model(example_model).objective
+        prog = ScalarProgram(
+            objective=lambda x: seen.append(np.array(x)) or base(x),
+            region=Region.hypercube([-1, 0, -1], [1, 0.5, 1]),
+            descriptor="recorded",
+        )
+        nelder_mead(prog, np.array([0.9, 0.4, -0.9]))
+        assert len(seen) > 10
+        assert all(prog.region.contains(x) for x in seen)
 
     def test_stays_in_region(self, example_model):
         prog = v_model(example_model)
