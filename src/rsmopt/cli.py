@@ -25,7 +25,7 @@ from . import programs as prog
 from .fit import FittedModel, covariance_at, fit_ols, predict, unit_variance
 from .model import ExperimentData, Region, Run, TermSpec, build_design_matrix
 from .programs import MethodConfig, ScalarProgram
-from .solve import DEFAULT_PENALTY_SCHEDULE, SolveResult, multistart
+from .solve import SolveResult, multistart
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,41 +54,50 @@ METHOD_CONSTRUCTORS = {
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def ingest_csv(path: str | Path, response_order: list[str] | None = None) -> ExperimentData:
-    """Read long-format data: run_id,x1..xn,response,replicate,value.
-
-    Responses are ordered by first appearance unless overridden.
-    """
-    path = Path(path)
+def _read_csv(path: Path) -> tuple[list[str], list[str], list[dict]]:
+    """Header, its x1..xn columns in numeric order, and the rows of a CSV
+    file; header names are stripped, and rows are keyed by the stripped
+    names."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
-        x_cols = sorted(
-            (h for h in header if h.startswith("x") and h[1:].isdigit()),
-            key=lambda h: int(h[1:]),
-        )
-        required = {"run_id", "response", "replicate", "value"}
-        missing = required - set(header)
-        if missing or not x_cols:
-            raise DataError(f"{path}: missing columns {sorted(missing) or 'x1..xn'}")
-        if [int(h[1:]) for h in x_cols] != list(range(1, len(x_cols) + 1)):
-            raise DataError(f"{path}: factor columns must be x1..xn")
+        header = reader.fieldnames = [h.strip() for h in reader.fieldnames]
+        rows = list(reader)
+    x_cols = sorted(
+        (h for h in header if h.startswith("x") and h[1:].isdigit()),
+        key=lambda h: int(h[1:]),
+    )
+    return header, x_cols, rows
 
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                run_id = int(row["run_id"])
-                x = tuple(float(row[c]) for c in x_cols)
-                resp = row["response"].strip()
-                rep = int(row["replicate"])
-                value = float(row["value"])
-            except (TypeError, ValueError, KeyError) as exc:
-                raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
-            rows.append((run_id, x, resp, rep, value))
+
+def ingest_csv(path: str | Path, response_order: list[str] | None = None) -> ExperimentData:
+    """Read long-format data: run_id,x1..xn,response,replicate,value.
+
+    Responses are ordered by first appearance unless overridden.
+    """
+    path = Path(path)
+    header, x_cols, table = _read_csv(path)
+    required = {"run_id", "response", "replicate", "value"}
+    missing = required - set(header)
+    if missing or not x_cols:
+        raise DataError(f"{path}: missing columns {sorted(missing) or 'x1..xn'}")
+    if [int(h[1:]) for h in x_cols] != list(range(1, len(x_cols) + 1)):
+        raise DataError(f"{path}: factor columns must be x1..xn")
+
+    rows = []
+    for lineno, row in enumerate(table, start=2):
+        try:
+            run_id = int(row["run_id"])
+            x = tuple(float(row[c]) for c in x_cols)
+            resp = row["response"].strip()
+            rep = int(row["replicate"])
+            value = float(row["value"])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
+        rows.append((run_id, x, resp, rep, value))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return _assemble(rows, response_order, str(path))
@@ -97,37 +106,27 @@ def ingest_csv(path: str | Path, response_order: list[str] | None = None) -> Exp
 def ingest_csv_wide(path: str | Path, response_order: list[str] | None = None) -> ExperimentData:
     """Read wide-format data: ID,x1..xn,<resp>_1..<resp>_m per response."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
-        x_cols = sorted(
-            (h for h in header if h.startswith("x") and h[1:].isdigit()),
-            key=lambda h: int(h[1:]),
-        )
-        if "ID" not in header or not x_cols:
-            raise DataError(f"{path}: wide format needs ID and x1..xn columns")
-        rep_cols = [h for h in header if "_" in h and h not in x_cols]
-        responses: list[str] = []
-        for h in rep_cols:
-            name = h.rsplit("_", 1)[0]
-            if name not in responses:
-                responses.append(name)
-        if not responses:
-            raise DataError(f"{path}: no response replicate columns")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                run_id = int(row["ID"])
-                x = tuple(float(row[c]) for c in x_cols)
-                for h in rep_cols:
-                    name, rep = h.rsplit("_", 1)
-                    rows.append((run_id, x, name, int(rep), float(row[h])))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
+    header, x_cols, table = _read_csv(path)
+    if "ID" not in header or not x_cols:
+        raise DataError(f"{path}: wide format needs ID and x1..xn columns")
+    rep_cols = [h for h in header if "_" in h and h not in x_cols]
+    responses: list[str] = []
+    for h in rep_cols:
+        name = h.rsplit("_", 1)[0]
+        if name not in responses:
+            responses.append(name)
+    if not responses:
+        raise DataError(f"{path}: no response replicate columns")
+    rows = []
+    for lineno, row in enumerate(table, start=2):
+        try:
+            run_id = int(row["ID"])
+            x = tuple(float(row[c]) for c in x_cols)
+            for h in rep_cols:
+                name, rep = h.rsplit("_", 1)
+                rows.append((run_id, x, name, int(rep), float(row[h])))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
     return _assemble(rows, response_order, str(path))
@@ -174,8 +173,6 @@ def _assemble(rows, response_order, origin: str) -> ExperimentData:
 
 @dataclass
 class SolverSettings:
-    resolution: float = 0.01
-    penalty_schedule: tuple[float, ...] = DEFAULT_PENALTY_SCHEDULE
     seed: int = 0
     multistart_k: int = 16
 
@@ -199,42 +196,53 @@ class RunConfig:
     output_format: str = "markdown"
 
 
+# Accepted config keys, per level; load_config rejects any other key.
+CONFIG_KEYS = {"data", "wide", "responses", "terms", "region", "solver",
+               "methods", "fixed_points", "format"}
+REGION_KEYS = {"kind", "lower", "upper", "radius", "dim"}
+SOLVER_KEYS = {"seed", "multistart"}
+# method key -> MethodConfig field
+METHOD_KEYS = {"tau": "tau", "w": "w", "confidence": "confidence", "r1": "r1",
+               "r2": "r2", "variance_scale": "variance_scale",
+               "primary": "primary_index", "epsilon": "epsilon"}
+FIXED_POINT_KEYS = {"label", "x"}
+
+
+def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be an object")
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise DataError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
 def load_config(path: str | Path) -> RunConfig:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        n = len(doc["region"]["lower"]) if doc["region"]["kind"] == "hypercube" \
-            else int(doc["region"].get("dim"))
-        terms = TermSpec.from_names(doc["terms"], n)
+        _check_keys(doc, CONFIG_KEYS, "config")
         reg = doc["region"]
+        _check_keys(reg, REGION_KEYS, "region")
         if reg["kind"] == "hypercube":
             region = Region.hypercube(reg["lower"], reg["upper"])
         else:
-            region = Region.hypersphere(float(reg["radius"]), dim=n)
+            region = Region.hypersphere(float(reg["radius"]), dim=int(reg["dim"]))
+        terms = TermSpec.from_names(doc["terms"], region.bounding_box()[0].size)
         methods = []
         for m in doc.get("methods", []):
             name = m["name"]
             if name not in METHOD_CONSTRUCTORS:
                 raise ValueError(f"unknown method {name!r}")
-            kwargs = {}
-            for key, attr in (
-                ("tau", "tau"), ("w", "w"), ("confidence", "confidence"),
-                ("r1", "r1"), ("r2", "r2"), ("variance_scale", "variance_scale"),
-                ("primary", "primary_index"), ("epsilon", "epsilon"),
-            ):
-                if key in m:
-                    kwargs[attr] = m[key]
+            _check_keys(m, {"name", *METHOD_KEYS}, f"method {name!r}")
+            kwargs = {attr: m[key] for key, attr in METHOD_KEYS.items() if key in m}
             methods.append(MethodSpec(name=name, config=MethodConfig(**kwargs)))
-        fixed = [
-            (fp["label"], np.asarray(fp["x"], dtype=float))
-            for fp in doc.get("fixed_points", [])
-        ]
+        fixed = []
+        for fp in doc.get("fixed_points", []):
+            _check_keys(fp, FIXED_POINT_KEYS, "fixed point")
+            fixed.append((fp["label"], np.asarray(fp["x"], dtype=float)))
         solver_doc = doc.get("solver", {})
+        _check_keys(solver_doc, SOLVER_KEYS, "solver")
         solver = SolverSettings(
-            resolution=float(solver_doc.get("resolution", 0.01)),
-            penalty_schedule=tuple(
-                solver_doc.get("penalty_schedule", DEFAULT_PENALTY_SCHEDULE)
-            ),
             seed=int(solver_doc.get("seed", 0)),
             multistart_k=int(solver_doc.get("multistart", 16)),
         )
@@ -289,15 +297,25 @@ def model_to_doc(model: FittedModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> FittedModel:
-    terms = TermSpec.from_names(doc["terms"], int(doc["n"]))
-    return FittedModel(
-        terms=terms,
-        b_hat=np.asarray(doc["b_hat"], dtype=float),
-        sigma_hat=np.asarray(doc["sigma_hat"], dtype=float),
-        xtx_inv=np.asarray(doc["xtx_inv"], dtype=float),
-        residuals=np.asarray(doc["residuals"], dtype=float),
-        n_obs=int(doc["N"]),
-    )
+    """Inverse of model_to_doc; DataError for a missing key or an array
+    whose shape does not match p, r and N."""
+    try:
+        terms = TermSpec.from_names(doc["terms"], int(doc["n"]))
+        p, r, n_obs = terms.p, int(doc["r"]), int(doc["N"])
+        if int(doc["p"]) != p:
+            raise ValueError(f"p is {doc['p']} but there are {p} terms")
+        shapes = {"b_hat": (p, r), "sigma_hat": (r, r), "xtx_inv": (p, p),
+                  "residuals": (n_obs, r)}
+        arrays = {key: np.asarray(doc[key], dtype=float) for key in shapes}
+    except KeyError as exc:
+        raise DataError(f"model has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad model: {exc}") from exc
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise DataError(f"model {key} has shape {arrays[key].shape}, "
+                            f"expected {shape}")
+    return FittedModel(terms=terms, n_obs=n_obs, **arrays)
 
 
 def save_model(model: FittedModel, path: str | Path) -> None:
@@ -344,12 +362,7 @@ def _row_from_x(model: FittedModel, label: str, x: np.ndarray,
 def optimize_method(model: FittedModel, spec: MethodSpec, region: Region,
                     solver: SolverSettings) -> tuple[SolveResult, dict]:
     program = build_program(model, spec, region)
-    result = multistart(
-        program,
-        k=solver.multistart_k,
-        seed=solver.seed,
-        schedule=solver.penalty_schedule,
-    )
+    result = multistart(program, k=solver.multistart_k, seed=solver.seed)
     row = _row_from_x(
         model, spec.name, result.x_star,
         f_star=result.f_star,

@@ -58,20 +58,6 @@ class ParetoSet:
     points: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=())
 
 
-def _region_dim(program: ScalarProgram) -> int:
-    region = program.region
-    if region.kind == "hypercube":
-        return region.lower.size
-    if region.dim is None:
-        raise ValueError("hypersphere region needs an explicit dimension")
-    return region.dim
-
-
-def _axis_grid(lo: float, hi: float, resolution: float) -> np.ndarray:
-    count = int(round((hi - lo) / resolution)) + 1
-    return np.linspace(lo, hi, count)
-
-
 def _residuals_at(program: ScalarProgram, x: np.ndarray) -> np.ndarray:
     if not program.eq_constraints:
         return np.zeros(0)
@@ -96,32 +82,12 @@ def grid_search(program: ScalarProgram, resolution: float,
     raw residuals are reported at the winner. Ties break to the lowest
     score, then the lexicographically smallest point.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    region = program.region
-    if region.kind == "hypercube":
-        lo, hi = region.lower, region.upper
-        in_region = None
-    else:
-        # hypersphere: grid over the bounding box, reject out-of-ball nodes
-        n = _region_dim(program)
-        lo, hi = region.bounding_box(n)
-        in_region = lambda pts: np.einsum("ij,ij->i", pts, pts) <= region.radius**2
-    axes = [_axis_grid(lo[i], hi[i], resolution) for i in range(lo.size)]
-    total = int(np.prod([a.size for a in axes]))
-    if total > MAX_GRID_NODES:
-        raise ValueError("grid too large")
-
     score_fn = _penalized(program, penalty_weight)
     best_score = np.inf
     best_x: np.ndarray | None = None
     evaluations = 0
 
-    for pts in _grid_chunks(axes, GRID_CHUNK):
-        if in_region is not None:
-            pts = pts[in_region(pts)]
-            if pts.shape[0] == 0:
-                continue
+    for pts in _region_grid(program.region, resolution):
         scores = np.asarray(score_fn(pts), dtype=float)
         evaluations += pts.shape[0]
         nan = np.isnan(scores)
@@ -130,18 +96,15 @@ def grid_search(program: ScalarProgram, resolution: float,
                              f"{pts[int(np.argmax(nan))].tolist()}")
         idx = int(np.argmin(scores))
         s = float(scores[idx])
-        if s < best_score - 1e-15:
+        if best_x is None or s < best_score - 1e-15:
             best_score, best_x = s, pts[idx].copy()
-        elif best_x is not None and abs(s - best_score) <= 1e-15:
+        elif abs(s - best_score) <= 1e-15:
             # tie: keep the lexicographically smaller point
             cand = pts[idx]
             if tuple(cand) < tuple(best_x):
                 best_x = cand.copy()
         # exact ties within a chunk: argmin returns the first, and chunks
         # are generated in lexicographic order, so the rule holds.
-    if best_x is None:
-        raise ValueError(f"{program.descriptor}: no grid node at resolution "
-                         f"{resolution:g} lies inside the region")
     residuals = _residuals_at(program, best_x)
     return SolveResult(
         x_star=best_x,
@@ -150,6 +113,29 @@ def grid_search(program: ScalarProgram, resolution: float,
         evaluations=evaluations,
         converged=True,
     )
+
+
+def _region_grid(region: Region, resolution: float):
+    """Yield the grid nodes inside the region in lexicographic order, in
+    chunks of at most GRID_CHUNK rows; the grid spans the bounding box."""
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    lo, hi = region.bounding_box()
+    axes = [np.linspace(a, b, int(round((b - a) / resolution)) + 1)
+            for a, b in zip(lo, hi)]
+    if int(np.prod([a.size for a in axes])) > MAX_GRID_NODES:
+        raise ValueError("grid too large")
+    found = False
+    for pts in _grid_chunks(axes, GRID_CHUNK):
+        if region.kind == "hypersphere":
+            pts = pts[np.einsum("ij,ij->i", pts, pts) <= region.radius**2]
+            if pts.shape[0] == 0:
+                continue
+        found = True
+        yield pts
+    if not found:
+        raise ValueError(f"no grid node at resolution {resolution:g} "
+                         f"lies inside the region")
 
 
 def _grid_chunks(axes: list[np.ndarray], chunk: int):
@@ -208,15 +194,14 @@ def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10,
     )
 
 
-def penalty_solve(program: ScalarProgram,
-                  schedule=DEFAULT_PENALTY_SCHEDULE,
-                  x0=None, tol: float = 1e-12) -> SolveResult:
+def penalty_solve(program: ScalarProgram, x0=None,
+                  tol: float = 1e-12) -> SolveResult:
     """Quadratic-penalty sequence with warm starts for equality constraints."""
     if not program.eq_constraints:
         raise ValueError("penalty_solve requires equality constraints")
     if x0 is None:
         coarse = grid_search(program, resolution=0.1,
-                             penalty_weight=schedule[0])
+                             penalty_weight=DEFAULT_PENALTY_SCHEDULE[0])
         x0 = coarse.x_star
         evaluations = coarse.evaluations
     else:
@@ -225,7 +210,7 @@ def penalty_solve(program: ScalarProgram,
     x = x0
     residual_history: list[float] = []
     trace: list[tuple[int, float]] = []
-    for i, mu in enumerate(schedule):
+    for i, mu in enumerate(DEFAULT_PENALTY_SCHEDULE):
         step = nelder_mead(program, x, tol=tol, objective=_penalized(program, mu))
         x = step.x_star
         evaluations += step.evaluations
@@ -253,17 +238,15 @@ def _start_points(program: ScalarProgram, k: int, seed: int) -> np.ndarray:
     from scipy.stats import qmc  # imported on first use: scipy loads slowly
 
     region = program.region
-    n = _region_dim(program)
-    lo, hi = region.bounding_box(n)
-    sampler = qmc.Halton(d=n, seed=seed)
+    lo, hi = region.bounding_box()
+    sampler = qmc.Halton(d=lo.size, seed=seed)
     pts = qmc.scale(sampler.random(k), lo, hi)
     if region.kind == "hypersphere":
         pts = np.array([region.clip(p) for p in pts])
     return pts
 
 
-def multistart(program: ScalarProgram, k: int = 16, seed: int = 0,
-               schedule=DEFAULT_PENALTY_SCHEDULE) -> SolveResult:
+def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResult:
     """Best of local searches from k quasi-random starts plus the coarse-grid
     incumbent; deterministic given the seed."""
     if k < 1:
@@ -273,7 +256,7 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0,
 
     def local(x0) -> SolveResult:
         if program.eq_constraints:
-            return penalty_solve(program, schedule=schedule, x0=x0)
+            return penalty_solve(program, x0=x0)
         return nelder_mead(program, x0)
 
     best = local(coarse.x_star)
@@ -304,20 +287,16 @@ def _better(a: SolveResult, b: SolveResult) -> bool:
 
 
 def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:
-    """Nondominated subset of grid evaluations of several objectives."""
+    """Nondominated subset of the objectives' values on the region grid
+    that grid_search scores."""
     if len(objectives) < 2:
         raise ValueError("need at least two objectives")
-    if region.kind != "hypercube":
-        raise ValueError("pareto_front needs a hypercube region")
-    lo, hi = region.lower, region.upper
-    axes = [_axis_grid(lo[i], hi[i], resolution) for i in range(lo.size)]
-    total = int(np.prod([a.size for a in axes]))
-    if total > MAX_GRID_NODES:
-        raise ValueError("grid too large")
-    pts = np.stack(
-        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
-    )
-    vals = np.stack([np.asarray(f(pts), dtype=float) for f in objectives], axis=-1)
+    chunks = list(_region_grid(region, resolution))
+    pts = np.concatenate(chunks)
+    vals = np.concatenate([
+        np.stack([np.asarray(f(c), dtype=float) for f in objectives], axis=-1)
+        for c in chunks
+    ])
     keep = _nondominated_mask(vals)
     points = tuple(
         (pts[i].copy(), vals[i].copy()) for i in np.flatnonzero(keep)
@@ -326,20 +305,22 @@ def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:
 
 
 def _nondominated_mask(vals: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows not weakly dominated by a different row."""
+    """Boolean mask of rows not weakly dominated by a different row.
+
+    Rows are visited in lexicographic order, where every dominator of a row
+    comes before it. Each row not yet marked marks, in one comparison, all
+    rows it dominates; a row dominated only by marked rows is also dominated
+    by whatever marked them, so the mask is exact. Duplicates of a front
+    vector dominate none of each other and are all kept.
+    """
     order = np.lexsort(vals.T[::-1])
     vals_sorted = vals[order]
-    keep_sorted = np.ones(len(vals_sorted), dtype=bool)
-    kept: list[np.ndarray] = []
+    dominated = np.zeros(len(vals_sorted), dtype=bool)
     for i, v in enumerate(vals_sorted):
-        dominated = any(
-            np.all(u <= v) and np.any(u < v) for u in kept
-        )
-        if dominated:
-            keep_sorted[i] = False
-        else:
-            kept.append(v)
-    # duplicates of kept vectors are themselves nondominated; keep them
+        if dominated[i]:
+            continue
+        rest = vals_sorted[i + 1:]
+        dominated[i + 1:] |= np.all(v <= rest, axis=1) & np.any(v < rest, axis=1)
     keep = np.zeros(len(vals), dtype=bool)
-    keep[order] = keep_sorted
+    keep[order] = ~dominated
     return keep

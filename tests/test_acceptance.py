@@ -55,7 +55,6 @@ def solutions(run_config, example_model):
                 program,
                 k=run_config.solver.multistart_k,
                 seed=run_config.solver.seed,
-                schedule=run_config.solver.penalty_schedule,
             )
         return cache[name]
 
@@ -64,14 +63,14 @@ def solutions(run_config, example_model):
 
 @pytest.fixture(scope="module")
 def grid_oracle(run_config, example_model):
-    """Memoized fine-grid oracle result per configured method name."""
+    """Memoized 0.01-grid oracle result per configured method name."""
     cache = {}
 
     def solve(name):
         if name not in cache:
             spec = next(m for m in run_config.methods if m.name == name)
             program = build_program(example_model, spec, run_config.region)
-            cache[name] = grid_search(program, run_config.solver.resolution)
+            cache[name] = grid_search(program, 0.01)
         return cache[name]
 
     return solve

@@ -109,6 +109,21 @@ class TestIngestWide:
             ingest_csv_wide(path)
 
 
+@pytest.mark.parametrize("reader, path", [(ingest_csv, LONG_CSV),
+                                          (ingest_csv_wide, WIDE_CSV)])
+def test_padded_header_loads_the_same_data(tmp_path, reader, path):
+    header, body = path.read_text().split("\n", 1)
+    padded = write_csv(tmp_path, "padded.csv", " , ".join(header.split(",")) + "\n" + body)
+    want = reader(path, response_order=["Y1", "Y2"])
+    got = reader(padded, response_order=["Y1", "Y2"])
+    assert got.response_names == want.response_names
+    assert len(got.runs) == len(want.runs)
+    for a, b in zip(got.runs, want.runs):
+        assert a.run_id == b.run_id
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
+
+
 class TestModelPersistence:
     def test_round_trip_exact(self, example_model, tmp_path):
         path = tmp_path / "model.json"
@@ -180,6 +195,23 @@ class TestCommands:
         assert len(err.strip().splitlines()) == 1
         assert "no grid node" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {"n": 3, "terms": ["1", "x1"]},
+        lambda doc: {**doc, "b_hat": doc["b_hat"][:-1]},
+        lambda doc: {**doc, "sigma_hat": doc["sigma_hat"][0]},
+        lambda doc: {**doc, "residuals": doc["residuals"][:-1]},
+        lambda doc: {**doc, "terms": doc["terms"][:-1]},
+    ], ids=["missing keys", "b_hat rows", "sigma_hat shape", "residual rows",
+            "terms vs p"])
+    def test_malformed_model_is_data_error(self, model_path, tmp_path, edit, capsys):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(bad), "--x", "1,1,-1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("data error: ")
+
     def test_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
@@ -216,7 +248,7 @@ def small_config(tmp_path):
         "responses": ["Y1", "Y2"],
         "terms": ["1", "x1", "x2", "x3", "x1*x2", "x1*x3", "x2*x3"],
         "region": {"kind": "hypercube", "lower": [-1, -1, -1], "upper": [1, 1, 1]},
-        "solver": {"resolution": 0.05, "seed": 0, "multistart": 2},
+        "solver": {"seed": 0, "multistart": 2},
         "methods": [
             {"name": "v-model", "variance_scale": 32},
             {"name": "mean-weighting", "w": [0.285, 0.715]},
@@ -226,6 +258,27 @@ def small_config(tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.parametrize("level, key", [
+    ("top", "methdos"),
+    ("region", "radious"),
+    ("solver", "multistrat"),
+    ("solver", "resolution"),
+    ("solver", "penalty_schedule"),
+    ("method", "variance_scal"),
+    ("fixed point", "lable"),
+])
+def test_unknown_config_key_is_data_error(small_config, level, key, capsys):
+    doc = json.loads(small_config.read_text())
+    target = {"top": doc, "region": doc["region"], "solver": doc["solver"],
+              "method": doc["methods"][0], "fixed point": doc["fixed_points"][0]}[level]
+    target[key] = 1
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert repr(key) in err
 
 
 class TestReport:

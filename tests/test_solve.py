@@ -13,9 +13,11 @@ from rsmopt.programs import (
     p_model_weighting,
     v_model,
 )
+from rsmopt import solve
 from rsmopt.solve import (
     GRID_CHUNK,
     _grid_chunks,
+    _region_grid,
     grid_search,
     multistart,
     nelder_mead,
@@ -62,6 +64,17 @@ class TestGridSearch:
         for chunk in (7, GRID_CHUNK):
             got = np.concatenate(list(_grid_chunks(axes, chunk)))
             assert np.array_equal(got, want)
+
+    def test_region_grid_keeps_the_ball_nodes_in_order_at_any_size(self, monkeypatch):
+        region = Region.hypersphere(1.0, dim=3)
+        axes = [np.linspace(-1, 1, 9)] * 3
+        box = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        want = box[np.einsum("ij,ij->i", box, box) <= 1.0]
+        for chunk in (7, GRID_CHUNK):
+            monkeypatch.setattr(solve, "GRID_CHUNK", chunk)
+            chunks = list(_region_grid(region, 0.25))
+            assert all(len(c) for c in chunks)
+            assert np.array_equal(np.concatenate(chunks), want)
 
     def test_nan_objective_is_rejected(self):
         all_nan = ScalarProgram(
@@ -220,7 +233,76 @@ class TestMultistart:
         assert prog.region.contains(res.x_star, atol=1e-9)
 
 
+def box_nodes(region, resolution):
+    lo, hi = region.bounding_box()
+    axes = [np.linspace(a, b, int(round((b - a) / resolution)) + 1)
+            for a, b in zip(lo, hi)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def brute_force_front(objectives, pts):
+    """Rows of pts, in order, that no row with a different vector weakly
+    dominates, by comparing every pair."""
+    vals = np.stack([np.asarray(f(pts), dtype=float) for f in objectives], axis=-1)
+    dominated = np.zeros(len(vals), dtype=bool)
+    for lo in range(0, len(vals), 1024):  # blocks of rows keep memory small
+        block = vals[lo:lo + 1024]
+        weak = np.ones((len(block), len(vals)), dtype=bool)
+        strict = np.zeros_like(weak)
+        for k in range(vals.shape[1]):
+            weak &= vals[:, k] <= block[:, k, None]
+            strict |= vals[:, k] < block[:, k, None]
+        dominated[lo:lo + 1024] = np.any(weak & strict, axis=1)
+    return pts[~dominated], vals[~dominated]
+
+
+def assert_front_equals(front, want_pts, want_vals):
+    assert len(front.points) == len(want_pts)
+    for (x, v), x_want, v_want in zip(front.points, want_pts, want_vals):
+        assert np.array_equal(x, x_want)
+        assert np.array_equal(v, v_want)
+
+
 class TestParetoFront:
+    @staticmethod
+    def objective_sets(model):
+        w = np.asarray(WEIGHTS)
+        return {
+            "weighted mean and variance": [lambda x: predict(model, x) @ w,
+                                           lambda x: unit_variance(model, x)],
+            "Y1 and Y2": [lambda x: predict(model, x)[..., 0],
+                          lambda x: predict(model, x)[..., 1]],
+            "identical": [lambda x: x[..., 0] ** 2] * 2,
+        }
+
+    @pytest.mark.parametrize("case, resolution, size", [
+        ("weighted mean and variance", 0.1, 106),
+        ("Y1 and Y2", 0.1, None),
+        # every node with x1 = 0 ties at (0, 0); all 5 x 5 of them are kept
+        ("identical", 0.5, 25),
+    ])
+    def test_equals_brute_force(self, example_model, case, resolution, size):
+        objs = self.objective_sets(example_model)[case]
+        region = Region.unit_cube(3)
+        front = pareto_front(objs, region, resolution)
+        assert_front_equals(front, *brute_force_front(objs, box_nodes(region, resolution)))
+        if size is not None:
+            assert len(front.points) == size
+
+    def test_ball_region(self, example_model):
+        objs = self.objective_sets(example_model)["weighted mean and variance"]
+        region = Region.hypersphere(1.0, dim=3)
+        front = pareto_front(objs, region, 0.1)
+        assert all(float(x @ x) <= 1.0 for x, _ in front.points)
+        nodes = box_nodes(region, 0.1)
+        nodes = nodes[np.einsum("ij,ij->i", nodes, nodes) <= 1.0]
+        assert_front_equals(front, *brute_force_front(objs, nodes))
+
+    def test_ball_without_grid_nodes(self, example_model):
+        objs = self.objective_sets(example_model)["Y1 and Y2"]
+        with pytest.raises(ValueError, match="no grid node"):
+            pareto_front(objs, Region.hypersphere(0.05, dim=3), 0.1)
+
     @staticmethod
     def pairwise_nondominance(points):
         vals = [v for _, v in points]
