@@ -57,7 +57,7 @@ METHOD_CONSTRUCTORS = {
 def _read_csv(path: Path) -> tuple[list[str], list[str], list[dict]]:
     """Header, its x1..xn columns in numeric order, and the rows of a CSV
     file; header names are stripped, and rows are keyed by the stripped
-    names."""
+    names. Factor columns must be numbered 1..n without a gap."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
@@ -70,6 +70,8 @@ def _read_csv(path: Path) -> tuple[list[str], list[str], list[dict]]:
         (h for h in header if h.startswith("x") and h[1:].isdigit()),
         key=lambda h: int(h[1:]),
     )
+    if [int(h[1:]) for h in x_cols] != list(range(1, len(x_cols) + 1)):
+        raise DataError(f"{path}: factor columns must be x1..xn")
     return header, x_cols, rows
 
 
@@ -84,8 +86,6 @@ def ingest_csv(path: str | Path, response_order: list[str] | None = None) -> Exp
     missing = required - set(header)
     if missing or not x_cols:
         raise DataError(f"{path}: missing columns {sorted(missing) or 'x1..xn'}")
-    if [int(h[1:]) for h in x_cols] != list(range(1, len(x_cols) + 1)):
-        raise DataError(f"{path}: factor columns must be x1..xn")
 
     rows = []
     for lineno, row in enumerate(table, start=2):
@@ -225,8 +225,10 @@ def load_config(path: str | Path) -> RunConfig:
         _check_keys(reg, REGION_KEYS, "region")
         if reg["kind"] == "hypercube":
             region = Region.hypercube(reg["lower"], reg["upper"])
-        else:
+        elif reg["kind"] == "hypersphere":
             region = Region.hypersphere(float(reg["radius"]), dim=int(reg["dim"]))
+        else:
+            raise DataError(f"unknown region kind {reg['kind']!r}")
         terms = TermSpec.from_names(doc["terms"], region.bounding_box()[0].size)
         methods = []
         for m in doc.get("methods", []):

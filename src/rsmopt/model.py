@@ -167,14 +167,15 @@ class Region:
         return bool(x @ x <= self.radius**2 + atol)
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        """Project a point into the region (used by local searches)."""
+        """Project a point, or each row of a batch, into the region (used by
+        local searches)."""
         x = np.asarray(x, dtype=float)
         if self.kind == "hypercube":
             return np.clip(x, self.lower, self.upper)
-        nrm = float(np.linalg.norm(x))
-        if nrm <= self.radius:
-            return x
-        return x * (self.radius / nrm)
+        # one dot product per row: rounds as np.linalg.norm of that row does
+        nrm = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+        outside = nrm > self.radius
+        return np.where(outside, x * (self.radius / np.where(outside, nrm, 1.0)), x)
 
 
 @dataclass(frozen=True)

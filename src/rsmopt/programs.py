@@ -87,12 +87,18 @@ class MethodConfig:
 
 @dataclass(frozen=True)
 class ScalarProgram:
-    """Objective, equality constraints (== 0) and region for one method."""
+    """Objective, equality constraints (== 0) and region for one method.
+
+    ``smooth`` declares the objective and constraints continuously
+    differentiable in x, which lets a local solver use gradients; a
+    program built by hand keeps the derivative-free default.
+    """
 
     objective: Callable[[np.ndarray], np.ndarray]
     region: Region
     descriptor: str
     eq_constraints: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(default=())
+    smooth: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,7 @@ def v_model(model: FittedModel, cfg: MethodConfig | None = None,
         objective=lambda x: scale * np.asarray(unit_variance(model, x)),
         region=_default_region(model, region),
         descriptor="v-model",
+        smooth=True,
     )
 
 
@@ -134,6 +141,7 @@ def mean_weighting(model: FittedModel, cfg: MethodConfig,
         objective=lambda x: predict(model, x) @ w,
         region=_default_region(model, region),
         descriptor="mean-weighting",
+        smooth=True,
     )
 
 
@@ -151,6 +159,7 @@ def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
         objective=objective,
         region=_default_region(model, region),
         descriptor="modified-e-weighting",
+        smooth=True,
     )
 
 
@@ -168,6 +177,7 @@ def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
         eq_constraints=tuple(make_constraint(k) for k in range(model.r)),
         region=_default_region(model, region),
         descriptor="modified-e-epsilon",
+        smooth=True,
     )
 
 
@@ -199,6 +209,7 @@ def p_model_weighting(model: FittedModel, cfg: MethodConfig,
         objective=lambda x: terms(x) @ w,
         region=_default_region(model, region),
         descriptor="p-model-weighting",
+        smooth=True,
     )
 
 
@@ -221,6 +232,7 @@ def p_model_epsilon(model: FittedModel, cfg: MethodConfig,
         ),
         region=_default_region(model, region),
         descriptor="p-model-epsilon",
+        smooth=True,
     )
 
 
@@ -250,6 +262,7 @@ def kataoka_weighting(model: FittedModel, cfg: MethodConfig,
         objective=lambda x: terms(x) @ w,
         region=_default_region(model, region),
         descriptor="kataoka-weighting",
+        smooth=True,
     )
 
 
@@ -272,6 +285,7 @@ def kataoka_epsilon(model: FittedModel, cfg: MethodConfig,
         ),
         region=_default_region(model, region),
         descriptor="kataoka-epsilon",
+        smooth=True,
     )
 
 
@@ -287,7 +301,10 @@ def goal_deviations(model: FittedModel, cfg: MethodConfig, x) -> GoalDeviations:
 
 def goal_programming(model: FittedModel, cfg: MethodConfig,
                      region: Region | None = None) -> ScalarProgram:
-    """Sum of weighted deviations; identical to sum w_k |term_k - tau_k|."""
+    """Sum of weighted deviations; identical to sum w_k |term_k - tau_k|.
+
+    The |.| kinks make it the one nonsmooth program, so it keeps
+    ``smooth=False`` and a derivative-free polish."""
     _require(cfg, "tau", "w")
     terms, tau, w = _kataoka_fn(model, cfg), cfg.tau, cfg.w
     return ScalarProgram(

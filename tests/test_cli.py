@@ -109,6 +109,16 @@ class TestIngestWide:
             ingest_csv_wide(path)
 
 
+@pytest.mark.parametrize("reader, text", [
+    (ingest_csv, "run_id,x1,x3,response,replicate,value\n1,-1,-1,Y1,1,5.0\n"),
+    (ingest_csv_wide, "ID,x1,x3,Y1_1,Y1_2\n1,-1,-1,5.0,5.1\n"),
+], ids=["long", "wide"])
+def test_factor_columns_with_a_gap_are_rejected(tmp_path, reader, text):
+    path = write_csv(tmp_path, "gap.csv", text)
+    with pytest.raises(DataError, match="factor columns must be x1..xn"):
+        reader(path)
+
+
 @pytest.mark.parametrize("reader, path", [(ingest_csv, LONG_CSV),
                                           (ingest_csv_wide, WIDE_CSV)])
 def test_padded_header_loads_the_same_data(tmp_path, reader, path):
@@ -279,6 +289,16 @@ def test_unknown_config_key_is_data_error(small_config, level, key, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert repr(key) in err
+
+
+def test_unknown_region_kind_is_data_error(small_config, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["region"]["kind"] = "cube"
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "unknown region kind 'cube'" in err
 
 
 class TestReport:

@@ -119,6 +119,19 @@ class TestRegion:
         x = ball.clip(np.array([3.0, 4.0]))
         assert np.linalg.norm(x) == pytest.approx(1.0)
 
+    def test_clip_projects_each_row_of_a_batch(self):
+        ball = Region.hypersphere(1.0, dim=2)
+        batch = np.array([[2.0, 0.0], [0.0, 0.5], [0.0, 0.0], [3.0, 4.0]])
+        got = ball.clip(batch)
+        assert got.shape == batch.shape
+        assert got == pytest.approx(np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [0.6, 0.8]]))
+        assert got[1].tolist() == [0.0, 0.5]  # an inside row is left as it is
+        # a batch row projects exactly as the same point on its own
+        for row, want in zip(batch, got):
+            assert np.array_equal(ball.clip(row), want)
+        cube = Region.unit_cube(2)
+        assert cube.clip(batch).tolist() == [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [1.0, 1.0]]
+
 
 class TestDesignMatrix:
     def test_example_is_orthogonal(self, example_data):

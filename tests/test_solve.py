@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import TAU, WEIGHTS
+from rsmopt.cli import build_program
 from rsmopt.fit import predict, unit_variance
 from rsmopt.model import Region
 from rsmopt.programs import (
@@ -18,7 +21,9 @@ from rsmopt.solve import (
     GRID_CHUNK,
     _grid_chunks,
     _region_grid,
+    _value_and_gradient,
     grid_search,
+    lbfgsb,
     multistart,
     nelder_mead,
     pareto_front,
@@ -153,6 +158,150 @@ class TestNelderMead:
         prog = v_model(example_model)
         res = nelder_mead(prog, np.array([1.0, 1.0, 1.0]))
         assert prog.region.contains(res.x_star, atol=1e-9)
+
+
+class TestLbfgsb:
+    def test_objective_sees_only_points_in_the_box(self, example_model):
+        seen = []
+        base = v_model(example_model).objective
+        prog = ScalarProgram(
+            objective=lambda x: seen.append(np.array(x)) or base(x),
+            region=Region.hypercube([-1, 0, -1], [1, 0.5, 1]),
+            descriptor="recorded",
+            smooth=True,
+        )
+        # the start is clipped onto the upper face in x2, where every
+        # difference step in x2 has to go backward
+        res = lbfgsb(prog, np.array([0.9, 0.7, -0.9]))
+        rows = np.concatenate([np.atleast_2d(x) for x in seen])
+        assert len(seen) > 2 and rows.shape[1] == 3
+        assert all(prog.region.contains(x) for x in rows)
+        assert res.evaluations == len(rows)
+
+    def test_never_worse_than_start(self, example_model):
+        prog = modified_e_weighting(
+            example_model,
+            MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
+        )
+        for x0 in ([0.9, -0.9, 0.9], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]):
+            x0 = np.array(x0)
+            res = lbfgsb(prog, x0)
+            assert res.converged
+            assert res.f_star <= float(prog.objective(x0))
+            assert res.f_star == pytest.approx(float(prog.objective(res.x_star)), rel=1e-14)
+
+    def test_keeps_the_start_when_every_later_point_is_worse(self):
+        # x0 sits on a kink, where the forward differences mislead
+        kinked = ScalarProgram(
+            objective=lambda x: np.abs(x[..., 0] - 0.3) + 0.1 * x[..., 1] ** 2,
+            region=Region.unit_cube(2),
+            descriptor="kink at x0",
+            smooth=True,
+        )
+        res = lbfgsb(kinked, np.array([0.3, 0.0]))
+        assert res.f_star == 0.0
+        assert res.x_star.tolist() == [0.3, 0.0]
+
+    def test_v_model_origin(self, example_model):
+        prog = v_model(example_model, MethodConfig(variance_scale=32))
+        res = lbfgsb(prog, np.array([0.5, -0.5, 0.9]))
+        assert res.x_star == pytest.approx([0, 0, 0], abs=1e-5)
+        assert res.f_star == pytest.approx(1.0, abs=1e-9)
+
+    def test_paper_modified_e_weighting(self, example_model):
+        prog = modified_e_weighting(
+            example_model,
+            MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
+        )
+        warm = grid_search(prog, 0.1)
+        res = lbfgsb(prog, warm.x_star)
+        assert res.f_star == pytest.approx(39.588, abs=0.02)
+        assert res.f_star <= nelder_mead(prog, warm.x_star).f_star + 1e-9
+
+    def test_ball_is_rejected(self, example_model):
+        prog = v_model(example_model, region=Region.hypersphere(1.0, dim=3))
+        with pytest.raises(ValueError, match="hypercube"):
+            lbfgsb(prog, np.zeros(3))
+
+
+class TestBatchedGradient:
+    # f(x) = sum_i c_i (x_i - a_i)^2 + x_0 x_1, gradient in closed form
+    c = np.array([1.0, 3.0, 0.5])
+    a = np.array([0.2, -0.4, 0.7])
+
+    def f(self, x):
+        return ((x - self.a) ** 2) @ self.c + x[..., 0] * x[..., 1]
+
+    def grad(self, x):
+        return 2 * self.c * (x - self.a) + np.array([x[1], x[0], 0.0])
+
+    @pytest.mark.parametrize("x", [
+        [0.3, -0.2, 0.1],
+        [1.0, 1.0, 1.0],     # every forward step would leave the box
+        [-1.0, 0.999999999, 1.0],
+        [2.5, -3.0, 0.0],    # steps scale with |x_i|
+    ])
+    def test_matches_closed_form(self, x):
+        x = np.array(x)
+        upper = np.maximum(x, 1.0)
+        calls = []
+
+        def fn(pts):
+            calls.append(pts)
+            return self.f(pts)
+
+        f, g = _value_and_gradient(fn, x, upper)
+        assert len(calls) == 1 and calls[0].shape == (4, 3)
+        assert np.all(calls[0] <= upper)
+        assert f == pytest.approx(self.f(x), rel=1e-14)
+        assert g == pytest.approx(self.grad(x), abs=1e-6)
+
+
+class TestPolishDispatch:
+    @staticmethod
+    def refuse_lbfgsb(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lbfgsb called")
+
+        monkeypatch.setattr(solve, "lbfgsb", refuse)
+
+    def test_smooth_flags(self, run_config, example_model):
+        for spec in run_config.methods:
+            prog = build_program(example_model, spec, run_config.region)
+            assert prog.smooth == (spec.name != "goal-programming")
+        assert not constant_program().smooth
+
+    def test_goal_programming_keeps_nelder_mead(self, run_config, example_model,
+                                                monkeypatch):
+        self.refuse_lbfgsb(monkeypatch)
+        spec = next(m for m in run_config.methods if m.name == "goal-programming")
+        prog = build_program(example_model, spec, run_config.region)
+        res = multistart(prog, k=run_config.solver.multistart_k,
+                         seed=run_config.solver.seed)
+        assert res.evaluations == 15_377
+
+    def test_ball_keeps_nelder_mead(self, run_config, example_model, monkeypatch):
+        self.refuse_lbfgsb(monkeypatch)
+        spec = next(m for m in run_config.methods if m.name == "p-model-epsilon")
+        prog = build_program(example_model, spec, Region.hypersphere(1.2, dim=3))
+        assert prog.smooth
+        res = multistart(prog, k=4, seed=0)
+        assert res.converged
+        assert np.max(res.constraint_residuals) < 1e-4
+        assert prog.region.contains(res.x_star, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["modified-e-epsilon", "p-model-epsilon",
+                                      "kataoka-epsilon"])
+    def test_penalty_stages_agree_with_nelder_mead(self, run_config, example_model,
+                                                   name):
+        spec = next(m for m in run_config.methods if m.name == name)
+        prog = build_program(example_model, spec, run_config.region)
+        fast = multistart(prog, k=4, seed=0)
+        simplex = multistart(dataclasses.replace(prog, smooth=False), k=4, seed=0)
+        assert fast.converged and simplex.converged
+        assert fast.f_star == pytest.approx(simplex.f_star, abs=1e-6)
+        assert fast.x_star == pytest.approx(simplex.x_star, abs=1e-3)
+        assert fast.evaluations < simplex.evaluations
 
 
 class TestPenaltySolve:
