@@ -241,7 +241,11 @@ def load_config(path: str | Path) -> RunConfig:
         fixed = []
         for fp in doc.get("fixed_points", []):
             _check_keys(fp, FIXED_POINT_KEYS, "fixed point")
-            fixed.append((fp["label"], np.asarray(fp["x"], dtype=float)))
+            x = np.asarray(fp["x"], dtype=float)
+            if not np.all(np.isfinite(x)):
+                raise DataError(f"fixed point {fp['label']!r} has a non-finite "
+                                f"coordinate")
+            fixed.append((fp["label"], x))
         solver_doc = doc.get("solver", {})
         _check_keys(solver_doc, SOLVER_KEYS, "solver")
         solver = SolverSettings(
@@ -453,6 +457,8 @@ def cmd_eval(args) -> int:
     x = np.array([float(v) for v in args.x.split(",")])
     if x.size != model.n:
         raise DataError(f"expected {model.n} coordinates, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"coordinates must be finite, got {args.x}")
     record = {
         "x": x.tolist(),
         "y_hat": predict(model, x).tolist(),

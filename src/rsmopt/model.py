@@ -126,13 +126,15 @@ class Region:
             hi = np.asarray(self.upper, dtype=float)
             if lo.shape != hi.shape or lo.ndim != 1:
                 raise ValueError("lower/upper must be 1-d and congruent")
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise ValueError("bounds must be finite")
             if not np.all(lo < hi):
                 raise ValueError("require lower < upper componentwise")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
         elif self.kind == "hypersphere":
-            if self.radius is None or not self.radius > 0:
-                raise ValueError("radius must be positive")
+            if self.radius is None or not 0 < self.radius < np.inf:
+                raise ValueError("radius must be positive and finite")
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
 

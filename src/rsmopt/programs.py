@@ -2,15 +2,20 @@
 
 Each constructor turns a fitted multiresponse model into a
 ``ScalarProgram``: an objective over the factor space, optional equality
-constraints, and a feasible region. Objectives are vectorized over a
+constraints, and a feasible region. Everything is vectorized over a
 leading batch axis so the grid oracle can evaluate millions of points.
 
 Notation used throughout: m_k(x) is the predicted mean of response k and
 s_k(x) = sqrt(q(x) * sigma_kk) its prediction standard deviation.
-Every objective and constraint reads x only through (m, q): a method that
-needs both gets them from one ``moments`` call per evaluation, and one that
-needs only one of them calls ``predict`` or ``unit_variance``. What does not
-depend on x (a normal quantile, diag Sigma) is computed once per program.
+Each constructor defines its method once, as a score function that maps
+a batch to the objective and every equality residual from one pass over
+(m, q); the solvers call that function, and the program's ``objective``
+and ``eq_constraints`` are its components. A method that needs both m
+and q gets them from one ``moments`` call per batch; one that needs only
+one calls ``predict`` or ``unit_variance``, and modified-e-epsilon, which
+needs q for its objective and m for its constraints, calls each once.
+What does not depend on x (a normal quantile, diag Sigma) is computed
+once per program.
 """
 
 from __future__ import annotations
@@ -85,13 +90,22 @@ class MethodConfig:
             raise ValueError("variance_scale must be positive")
 
 
+# A batch -> (objective, tuple of equality residuals), each of the batch shape.
+Score = Callable[[np.ndarray], tuple[np.ndarray, tuple[np.ndarray, ...]]]
+
+
 @dataclass(frozen=True)
 class ScalarProgram:
     """Objective, equality constraints (== 0) and region for one method.
 
-    ``smooth`` declares the objective and constraints continuously
-    differentiable in x, which lets a local solver use gradients; a
-    program built by hand keeps the derivative-free default.
+    ``score`` returns the objective and every equality residual from one
+    evaluation at a batch; the solvers score through it. A program built
+    by hand may give only ``objective`` and ``eq_constraints``, and its
+    score is then composed from them (and recomposed when
+    ``dataclasses.replace`` swaps them). ``smooth`` declares the objective
+    and constraints continuously differentiable in x, which lets a local
+    solver use gradients; a program built by hand keeps the
+    derivative-free default.
     """
 
     objective: Callable[[np.ndarray], np.ndarray]
@@ -99,6 +113,37 @@ class ScalarProgram:
     descriptor: str
     eq_constraints: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(default=())
     smooth: bool = False
+    score: Score | None = None
+
+    def __post_init__(self) -> None:
+        if self.score is None or getattr(self.score, "composed", False):
+            object.__setattr__(self, "score",
+                               _composed_score(self.objective, self.eq_constraints))
+
+
+def _composed_score(objective, eq_constraints) -> Score:
+    """The score of a program given as separate callables."""
+    def score(x):
+        return objective(x), tuple(c(x) for c in eq_constraints)
+
+    score.composed = True
+    return score
+
+
+def _program(score: Score, n_eq: int, region: Region, descriptor: str,
+             smooth: bool = True) -> ScalarProgram:
+    """A built-in program: the objective and each constraint read ``score``."""
+    def constraint(k: int):
+        return lambda x: score(x)[1][k]
+
+    return ScalarProgram(
+        objective=lambda x: score(x)[0],
+        eq_constraints=tuple(constraint(k) for k in range(n_eq)),
+        score=score,
+        region=region,
+        descriptor=descriptor,
+        smooth=smooth,
+    )
 
 
 @dataclass(frozen=True)
@@ -124,12 +169,11 @@ def v_model(model: FittedModel, cfg: MethodConfig | None = None,
     """Minimum-variance program: every matrix criterion of q(x)*Sigma shares
     its argmin with q(x), so the objective is just (scaled) q."""
     scale = cfg.variance_scale if cfg is not None else 1.0
-    return ScalarProgram(
-        objective=lambda x: scale * np.asarray(unit_variance(model, x)),
-        region=_default_region(model, region),
-        descriptor="v-model",
-        smooth=True,
-    )
+
+    def score(x):
+        return scale * np.asarray(unit_variance(model, x)), ()
+
+    return _program(score, 0, _default_region(model, region), "v-model")
 
 
 def mean_weighting(model: FittedModel, cfg: MethodConfig,
@@ -137,12 +181,11 @@ def mean_weighting(model: FittedModel, cfg: MethodConfig,
     """Weighted sum of predicted means."""
     _require(cfg, "w")
     w = cfg.w
-    return ScalarProgram(
-        objective=lambda x: predict(model, x) @ w,
-        region=_default_region(model, region),
-        descriptor="mean-weighting",
-        smooth=True,
-    )
+
+    def score(x):
+        return predict(model, x) @ w, ()
+
+    return _program(score, 0, _default_region(model, region), "mean-weighting")
 
 
 def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
@@ -151,16 +194,11 @@ def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
     _require(cfg, "w")
     w, r1, r2, scale = cfg.w, cfg.r1, cfg.r2, cfg.variance_scale
 
-    def objective(x):
+    def score(x):
         m, q = moments(model, x)
-        return r1 * (m @ w) + r2 * scale * q
+        return r1 * (m @ w) + r2 * scale * q, ()
 
-    return ScalarProgram(
-        objective=objective,
-        region=_default_region(model, region),
-        descriptor="modified-e-weighting",
-        smooth=True,
-    )
+    return _program(score, 0, _default_region(model, region), "modified-e-weighting")
 
 
 def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
@@ -169,16 +207,13 @@ def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
     _require(cfg, "tau")
     tau, scale = cfg.tau, cfg.variance_scale
 
-    def make_constraint(k: int):
-        return lambda x: predict(model, x)[..., k] - tau[k]
+    def score(x):
+        m = predict(model, x)
+        return (scale * np.asarray(unit_variance(model, x)),
+                tuple(m[..., k] - tau[k] for k in range(model.r)))
 
-    return ScalarProgram(
-        objective=lambda x: scale * np.asarray(unit_variance(model, x)),
-        eq_constraints=tuple(make_constraint(k) for k in range(model.r)),
-        region=_default_region(model, region),
-        descriptor="modified-e-epsilon",
-        smooth=True,
-    )
+    return _program(score, model.r, _default_region(model, region),
+                    "modified-e-epsilon")
 
 
 def _p_model_fn(model: FittedModel, tau) -> Callable[[np.ndarray], np.ndarray]:
@@ -205,35 +240,37 @@ def p_model_weighting(model: FittedModel, cfg: MethodConfig,
                       region: Region | None = None) -> ScalarProgram:
     _require(cfg, "tau", "w")
     terms, w = _p_model_fn(model, cfg.tau), cfg.w
-    return ScalarProgram(
-        objective=lambda x: terms(x) @ w,
-        region=_default_region(model, region),
-        descriptor="p-model-weighting",
-        smooth=True,
-    )
+
+    def score(x):
+        return terms(x) @ w, ()
+
+    return _program(score, 0, _default_region(model, region), "p-model-weighting")
+
+
+def _epsilon_score(model: FittedModel, terms, targets: np.ndarray,
+                   primary_index: int) -> Score:
+    """Keep the primary term as the objective; every other term minus its
+    target is an equality residual."""
+    k_star = primary_index - 1
+    if not 0 <= k_star < model.r:
+        raise ValueError("primary_index out of range")
+    others = [k for k in range(model.r) if k != k_star]
+
+    def score(x):
+        t = terms(x)
+        return t[..., k_star], tuple(t[..., k] - targets[k] for k in others)
+
+    return score
 
 
 def p_model_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Keep one standardized term as objective; pin the others to epsilon."""
     _require(cfg, "tau", "primary_index", "epsilon")
-    terms, eps = _p_model_fn(model, cfg.tau), cfg.epsilon
-    k_star = cfg.primary_index - 1
-    if not 0 <= k_star < model.r:
-        raise ValueError("primary_index out of range")
-
-    def make_constraint(k: int):
-        return lambda x: terms(x)[..., k] - eps[k]
-
-    return ScalarProgram(
-        objective=lambda x: terms(x)[..., k_star],
-        eq_constraints=tuple(
-            make_constraint(k) for k in range(model.r) if k != k_star
-        ),
-        region=_default_region(model, region),
-        descriptor="p-model-epsilon",
-        smooth=True,
-    )
+    score = _epsilon_score(model, _p_model_fn(model, cfg.tau), cfg.epsilon,
+                           cfg.primary_index)
+    return _program(score, model.r - 1, _default_region(model, region),
+                    "p-model-epsilon")
 
 
 def _kataoka_fn(model: FittedModel, cfg: MethodConfig) -> Callable[[np.ndarray], np.ndarray]:
@@ -258,35 +295,20 @@ def kataoka_weighting(model: FittedModel, cfg: MethodConfig,
                       region: Region | None = None) -> ScalarProgram:
     _require(cfg, "w")
     terms, w = _kataoka_fn(model, cfg), cfg.w
-    return ScalarProgram(
-        objective=lambda x: terms(x) @ w,
-        region=_default_region(model, region),
-        descriptor="kataoka-weighting",
-        smooth=True,
-    )
+
+    def score(x):
+        return terms(x) @ w, ()
+
+    return _program(score, 0, _default_region(model, region), "kataoka-weighting")
 
 
 def kataoka_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Minimize the primary Kataoka term; pin the others to their targets."""
     _require(cfg, "tau", "primary_index")
-    terms, tau = _kataoka_fn(model, cfg), cfg.tau
-    k_star = cfg.primary_index - 1
-    if not 0 <= k_star < model.r:
-        raise ValueError("primary_index out of range")
-
-    def make_constraint(k: int):
-        return lambda x: terms(x)[..., k] - tau[k]
-
-    return ScalarProgram(
-        objective=lambda x: terms(x)[..., k_star],
-        eq_constraints=tuple(
-            make_constraint(k) for k in range(model.r) if k != k_star
-        ),
-        region=_default_region(model, region),
-        descriptor="kataoka-epsilon",
-        smooth=True,
-    )
+    score = _epsilon_score(model, _kataoka_fn(model, cfg), cfg.tau, cfg.primary_index)
+    return _program(score, model.r - 1, _default_region(model, region),
+                    "kataoka-epsilon")
 
 
 def goal_deviations(model: FittedModel, cfg: MethodConfig, x) -> GoalDeviations:
@@ -307,11 +329,12 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
     ``smooth=False`` and a derivative-free polish."""
     _require(cfg, "tau", "w")
     terms, tau, w = _kataoka_fn(model, cfg), cfg.tau, cfg.w
-    return ScalarProgram(
-        objective=lambda x: np.abs(terms(x) - tau) @ w,
-        region=_default_region(model, region),
-        descriptor="goal-programming",
-    )
+
+    def score(x):
+        return np.abs(terms(x) - tau) @ w, ()
+
+    return _program(score, 0, _default_region(model, region), "goal-programming",
+                    smooth=False)
 
 
 def normal_quantile(prob: float) -> float:

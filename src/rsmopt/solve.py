@@ -73,10 +73,12 @@ def _residuals_at(program: ScalarProgram, x: np.ndarray) -> np.ndarray:
 
 
 def _penalized(program: ScalarProgram, mu: float):
+    """x -> objective + mu * sum(residual^2), from one ``program.score`` call."""
     def fn(x):
-        val = np.asarray(program.objective(x), dtype=float)
-        for c in program.eq_constraints:
-            val = val + mu * np.asarray(c(x), dtype=float) ** 2
+        f, residuals = program.score(x)
+        val = np.asarray(f, dtype=float)
+        for g in residuals:
+            val = val + mu * np.asarray(g, dtype=float) ** 2
         return val
 
     return fn

@@ -174,6 +174,15 @@ class TestCommands:
     def test_eval_dimension_mismatch(self, model_path):
         assert main(["eval", "--model", str(model_path), "--x", "1,1"]) == 2
 
+    @pytest.mark.parametrize("x", ["nan,0,0", "inf,0,0", "0,-inf,0", "0,0,NaN"])
+    def test_eval_non_finite_point_is_data_error(self, model_path, x, capsys):
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--x", x]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "coordinates must be finite" in err
+
     def test_unknown_method_is_usage_error(self, capsys):
         rc = main(["optimize", "--config", str(run_config_path()),
                    "--method", "no-such-method"])
@@ -299,6 +308,39 @@ def test_unknown_region_kind_is_data_error(small_config, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "unknown region kind 'cube'" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["fixed_points"][0].update(x=[float("nan"), 0, 0]),
+    lambda doc: doc["fixed_points"][0].update(x=[1, float("inf"), -1]),
+], ids=["NaN", "Infinity"])
+def test_non_finite_fixed_point_is_data_error(small_config, edit, capsys):
+    doc = json.loads(small_config.read_text())
+    edit(doc)
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "fixed point 'baseline' has a non-finite coordinate" in err
+
+
+@pytest.mark.parametrize("region, message", [
+    ({"kind": "hypercube", "lower": [-1, -1, -1], "upper": [1, float("inf"), 1]},
+     "bounds must be finite"),
+    ({"kind": "hypercube", "lower": [float("-inf"), -1, -1], "upper": [1, 1, 1]},
+     "bounds must be finite"),
+    ({"kind": "hypersphere", "radius": float("inf"), "dim": 3},
+     "radius must be positive and finite"),
+], ids=["upper", "lower", "radius"])
+def test_infinite_region_is_data_error(small_config, region, message, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["region"] = region
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
 
 
 class TestReport:

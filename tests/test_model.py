@@ -114,6 +114,20 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region.hypersphere(-1.0)
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([-1, -1], [1, np.inf]),
+        ([-np.inf, -1], [1, 1]),
+        ([-1, np.nan], [1, 1]),
+    ])
+    def test_non_finite_bounds_are_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="finite|lower < upper"):
+            Region.hypercube(lower, upper)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_non_finite_radius_is_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            Region.hypersphere(radius, dim=2)
+
     def test_clip_projects_into_ball(self):
         ball = Region.hypersphere(1.0, dim=2)
         x = ball.clip(np.array([3.0, 4.0]))

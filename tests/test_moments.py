@@ -3,7 +3,8 @@
 ``evaluate_basis_loop`` is the per-term product loop that builds z(x) one
 monomial at a time; the production ``evaluate_basis`` must agree with it
 exactly. The Kataoka and P-model terms are recomputed here from that
-reference z(x) with their textbook formulas.
+reference z(x) with their textbook formulas, and the matmul quadratic form
+is checked against the three-operand einsum it replaced.
 """
 
 from statistics import NormalDist
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmopt.fit import FittedModel, moments, predict, unit_variance
+from rsmopt.fit import FittedModel, _quadratic_form, moments, predict, unit_variance
 from rsmopt.model import TermSpec, evaluate_basis
 from rsmopt.programs import MethodConfig, kataoka_terms, p_model_terms
 
@@ -112,3 +113,28 @@ def test_p_model_terms_match_textbook_formula(case):
     want = (tau - m) / s
     got = p_model_terms(model, tau, x)
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
+
+
+@st.composite
+def quadratic_form_cases(draw):
+    """A basis batch over a random term set and a random symmetric positive
+    definite A whose spectrum lies in [1, 5], so q >= |z|^2 >= 1."""
+    terms = draw(term_specs())
+    k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (k,), (k, l)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = terms.p
+    a = rng.standard_normal((p, p))
+    x = rng.uniform(-2.0, 2.0, size=batch + (terms.n,))
+    return evaluate_basis(x, terms), a @ a.T / p + np.eye(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=quadratic_form_cases())
+def test_quadratic_form_matches_three_operand_einsum(case):
+    z, a = case
+    got = _quadratic_form(z, a)
+    want = np.einsum("...i,ij,...j->...", z, a, z)
+    assert np.shape(got) == z.shape[:-1]
+    assert np.all(got >= 0)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)

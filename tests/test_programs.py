@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsmopt import fit, solve
+from rsmopt.cli import METHOD_CONSTRUCTORS, build_program
 from rsmopt.fit import FittedModel, predict, unit_variance
-from rsmopt.model import TermSpec
+from rsmopt.model import Region, TermSpec
 from rsmopt.programs import (
     MethodConfig,
+    ScalarProgram,
     goal_deviations,
     goal_programming,
     joint_probability_mc,
@@ -276,6 +280,153 @@ class TestGoalProgramming:
             expected = WEIGHTS @ (np.array([200.0, 200.0]) - predict(example_model, x))
             assert float(prog.objective(x)) == pytest.approx(float(expected))
             assert float(prog.objective(x)) > 0
+
+
+def reference_program(name, model, cfg):
+    """(objective, constraints) of a method as separate callables, each of
+    which evaluates the model on its own: the per-callable formulas the
+    programs were built from before each method became one score function."""
+    scale, tau, w = cfg.variance_scale, cfg.tau, cfg.w
+
+    def variance(x):
+        return scale * np.asarray(unit_variance(model, x))
+
+    def epsilon(terms, targets):
+        k_star = cfg.primary_index - 1
+        return (lambda x: terms(x)[..., k_star]), tuple(
+            (lambda x, k=k: terms(x)[..., k] - targets[k])
+            for k in range(model.r) if k != k_star)
+
+    def p_terms(x):
+        return p_model_terms(model, tau, x)
+
+    def k_terms(x):
+        return kataoka_terms(model, cfg, x)
+
+    if name == "v-model":
+        return variance, ()
+    if name == "mean-weighting":
+        return (lambda x: predict(model, x) @ w), ()
+    if name == "modified-e-weighting":
+        return (lambda x: cfg.r1 * (predict(model, x) @ w)
+                + cfg.r2 * scale * unit_variance(model, x)), ()
+    if name == "modified-e-epsilon":
+        return variance, tuple((lambda x, k=k: predict(model, x)[..., k] - tau[k])
+                               for k in range(model.r))
+    if name == "p-model-weighting":
+        return (lambda x: p_terms(x) @ w), ()
+    if name == "p-model-epsilon":
+        return epsilon(p_terms, cfg.epsilon)
+    if name == "kataoka-weighting":
+        return (lambda x: k_terms(x) @ w), ()
+    if name == "kataoka-epsilon":
+        return epsilon(k_terms, tau)
+    if name == "goal-programming":
+        return (lambda x: np.abs(k_terms(x) - tau) @ w), ()
+    raise KeyError(name)
+
+
+def quadratic_model_r3() -> FittedModel:
+    """Full second-order model in three factors with three responses."""
+    terms = TermSpec.full_second_order(3)
+    p, r = terms.p, 3
+    rng = np.random.default_rng(2011)
+    a = rng.standard_normal((p, p))
+    s = rng.standard_normal((r, r))
+    return FittedModel(
+        terms=terms,
+        b_hat=rng.standard_normal((p, r)) * 10.0,
+        sigma_hat=s @ s.T + 0.1 * np.eye(r),
+        xtx_inv=a @ a.T / p + 0.01 * np.eye(p),
+        residuals=np.zeros((p + 1, r)),
+        n_obs=p + 1,
+    )
+
+
+# every field any of the eight methods reads, for the three-response model
+R3_CONFIG = MethodConfig(tau=[1.0, -2.0, 3.0], w=[0.2, 0.3, 0.5], confidence=0.9,
+                         r1=0.3, r2=0.7, variance_scale=11.0, primary_index=2,
+                         epsilon=[0.5, 0.0, -0.5])
+R3_MODEL = quadratic_model_r3()
+
+
+def example_configs(run_config):
+    """The example's configured methods, plus mean weighting, which it lacks."""
+    cfgs = {m.name: m.config for m in run_config.methods}
+    cfgs["mean-weighting"] = MethodConfig(w=WEIGHTS)
+    return cfgs
+
+
+class TestScore:
+    @settings(max_examples=100, deadline=None)
+    @given(which=st.sampled_from(["example", "r3"]),
+           k=st.integers(1, 5), l=st.integers(1, 5),
+           batch=st.sampled_from(["()", "(k,)", "(k, l)"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_score_matches_per_callable_reference(self, example_model, run_config,
+                                                  which, k, l, batch, seed):
+        if which == "example":
+            model, cfgs = example_model, example_configs(run_config)
+        else:
+            model, cfgs = R3_MODEL, dict.fromkeys(METHOD_CONSTRUCTORS, R3_CONFIG)
+        shape = {"()": (), "(k,)": (k,), "(k, l)": (k, l)}[batch]
+        x = np.random.default_rng(seed).uniform(-1.2, 1.2, size=shape + (model.n,))
+        assert set(cfgs) == set(METHOD_CONSTRUCTORS)
+        for name, cfg in cfgs.items():
+            program = METHOD_CONSTRUCTORS[name](model, cfg)
+            want_f, want_g = reference_program(name, model, cfg)
+            f, g = program.score(x)
+            assert np.shape(f) == shape
+            assert np.allclose(f, want_f(x), rtol=1e-12, atol=0), name
+            assert len(g) == len(want_g) == len(program.eq_constraints)
+            for got, want, c in zip(g, want_g, program.eq_constraints):
+                assert np.shape(got) == shape
+                assert np.allclose(got, want(x), rtol=1e-12, atol=0), name
+                assert np.array_equal(c(x), got)
+            assert np.array_equal(program.objective(x), f)
+
+    @pytest.mark.parametrize("name, per_chunk", [
+        ("v-model", 1),
+        ("modified-e-weighting", 1),
+        ("modified-e-epsilon", 2),
+        ("p-model-weighting", 1),
+        ("p-model-epsilon", 1),
+        ("kataoka-weighting", 1),
+        ("kataoka-epsilon", 1),
+        ("goal-programming", 1),
+    ])
+    def test_grid_search_builds_the_basis_once_per_chunk(self, example_model, run_config,
+                                                         monkeypatch, name, per_chunk):
+        spec = next(m for m in run_config.methods if m.name == name)
+        program = build_program(example_model, spec, run_config.region)
+        real = fit.evaluate_basis
+        batches = []
+
+        def counting(x, terms):
+            if np.ndim(x) > 1:   # grid chunks; residuals at the winner are one point
+                batches.append(len(x))
+            return real(x, terms)
+
+        monkeypatch.setattr(solve, "GRID_CHUNK", 1000)
+        monkeypatch.setattr(fit, "evaluate_basis", counting)
+        result = solve.grid_search(program, 0.1)
+        assert result.evaluations == 21**3
+        assert len(batches) == per_chunk * 10
+        assert sum(batches) == per_chunk * result.evaluations
+
+    def test_hand_built_program_scores_from_its_callables(self):
+        program = ScalarProgram(
+            objective=lambda x: np.sum(x**2, axis=-1),
+            eq_constraints=(lambda x: x[..., 0] - 0.5,),
+            region=Region.unit_cube(2),
+            descriptor="hand-built",
+        )
+        x = np.array([[0.5, 0.0], [1.0, 1.0]])
+        f, (g,) = program.score(x)
+        assert f.tolist() == [0.25, 2.0] and g.tolist() == [0.0, 0.5]
+        shifted = dataclasses.replace(program, objective=lambda x: x[..., 1])
+        assert shifted.score(x)[0].tolist() == [0.0, 1.0]
+        assert solve.grid_search(program, 0.5).x_star.tolist() == [0.5, 0.0]
 
 
 class TestNormalQuantile:
