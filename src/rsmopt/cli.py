@@ -216,6 +216,29 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise DataError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
 
 
+def _integer(value, least: int, where: str) -> int:
+    """``value`` if it is an integer >= ``least``; a bool or a float such as
+    2.0 is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DataError(f"{where} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _check_methods(methods: list[MethodSpec], r: int) -> None:
+    """DataError unless every tau, w and epsilon has one entry per response
+    and every primary names one of the r responses."""
+    for spec in methods:
+        cfg = spec.config
+        for key in ("tau", "w", "epsilon"):
+            v = getattr(cfg, key)
+            if v is not None and v.shape != (r,):
+                raise DataError(f"method {spec.name!r}: {key} must have one entry "
+                                f"per response ({r}), got {v.tolist()}")
+        if cfg.primary_index is not None and cfg.primary_index > r:
+            raise DataError(f"method {spec.name!r}: primary must be a response "
+                            f"number in 1..{r}, got {cfg.primary_index}")
+
+
 def load_config(path: str | Path) -> RunConfig:
     with open(path) as fh:
         doc = json.load(fh)
@@ -237,6 +260,8 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ValueError(f"unknown method {name!r}")
             _check_keys(m, {"name", *METHOD_KEYS}, f"method {name!r}")
             kwargs = {attr: m[key] for key, attr in METHOD_KEYS.items() if key in m}
+            if "primary" in m:
+                _integer(m["primary"], 1, f"method {name!r} primary")
             methods.append(MethodSpec(name=name, config=MethodConfig(**kwargs)))
         fixed = []
         for fp in doc.get("fixed_points", []):
@@ -249,8 +274,9 @@ def load_config(path: str | Path) -> RunConfig:
         solver_doc = doc.get("solver", {})
         _check_keys(solver_doc, SOLVER_KEYS, "solver")
         solver = SolverSettings(
-            seed=int(solver_doc.get("seed", 0)),
-            multistart_k=int(solver_doc.get("multistart", 16)),
+            seed=_integer(solver_doc.get("seed", 0), 0, "solver seed"),
+            multistart_k=_integer(solver_doc.get("multistart", 16), 1,
+                                  "solver multistart"),
         )
         data_path = doc["data"]
         if not Path(data_path).is_absolute():
@@ -483,6 +509,7 @@ def cmd_optimize(args) -> int:
         return EXIT_USAGE
     data = _load_data(config)
     model = fit_from_config(config, data)
+    _check_methods([spec], model.r)
     result, row = optimize_method(model, spec, config.region, config.solver)
     _emit(json.dumps(row, indent=2) + "\n", args.out)
     if not result.converged:
@@ -500,6 +527,7 @@ def cmd_report(args) -> int:
         config.output_format = {"json": "json", "md": "markdown"}[args.format]
     data = _load_data(config)
     model = fit_from_config(config, data)
+    _check_methods(config.methods, model.r)
     report = build_report(model, config)
     if config.output_format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -507,6 +535,13 @@ def cmd_report(args) -> int:
         text = report_markdown(report, list(data.response_names))
     _emit(text, args.out)
     return EXIT_SOLVER if report["failed"] else EXIT_OK
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -530,14 +565,14 @@ def make_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run one configured method")
     p_opt.add_argument("--config", required=True)
     p_opt.add_argument("--method", required=True)
-    p_opt.add_argument("--seed", type=int)
+    p_opt.add_argument("--seed", type=_seed)
     p_opt.add_argument("--out")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_rep = sub.add_parser("report", help="run every configured method")
     p_rep.add_argument("--config", required=True)
     p_rep.add_argument("--format", choices=["json", "md"])
-    p_rep.add_argument("--seed", type=int)
+    p_rep.add_argument("--seed", type=_seed)
     p_rep.add_argument("--out")
     p_rep.set_defaults(func=cmd_report)
     return parser

@@ -6,6 +6,7 @@ pure, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,24 +21,31 @@ __all__ = [
 ]
 
 
+# one factor of a monomial name: x<i>, optionally to the power 1 or 2
+_FACTOR = re.compile(r"x([0-9]+)(?:\^([12]))?")
+
+
 def _parse_monomial(name: str, n: int) -> tuple[int, ...]:
-    """Parse a monomial name like ``1``, ``x2``, ``x1*x3`` or ``x2^2``."""
+    """Parse a monomial name like ``1``, ``x2``, ``x1*x3`` or ``x2^2``.
+
+    Each factor is ``x<i>`` with 1 <= i <= n, optionally raised to the
+    power 1 or 2, and the degree is at most 2; anything else is a
+    ValueError that names the term.
+    """
+    if not isinstance(name, str):
+        raise ValueError(f"bad term {name!r}: not a string")
     name = name.replace(" ", "")
     if name in ("1", ""):
         return ()
     factors: list[int] = []
     for part in name.split("*"):
-        if "^" in part:
-            base, exp = part.split("^")
-            reps = int(exp)
-        else:
-            base, reps = part, 1
-        if not base.startswith("x"):
-            raise ValueError(f"cannot parse monomial factor {part!r}")
-        idx = int(base[1:]) - 1
-        if not 0 <= idx < n:
-            raise ValueError(f"factor index out of range in {name!r}")
-        factors.extend([idx] * reps)
+        match = _FACTOR.fullmatch(part)
+        if match is None or not 1 <= int(match[1]) <= n:
+            raise ValueError(f"bad term {name!r}: factors must be x1..x{n}, "
+                             f"each to the power 1 or 2")
+        factors.extend([int(match[1]) - 1] * int(match[2] or 1))
+    if len(factors) > 2:
+        raise ValueError(f"bad term {name!r}: degree is more than 2")
     return tuple(sorted(factors))
 
 
@@ -245,14 +253,21 @@ def evaluate_basis(x, terms: TermSpec) -> np.ndarray:
     Component j is the product of the factors named by monomial j; the
     intercept evaluates to 1. Ordering follows ``terms`` exactly. This is
     the only place z(x) is built.
+
+    The products are formed feature-major: the augmented point [x, 1] is
+    laid out as (n+1, ...batch reversed), so each ``take`` along axis 0
+    copies whole contiguous rows instead of gathering a few elements from
+    every point. The result is the transpose of that (p, ...) array, a
+    (..., p) view whose transpose is C-contiguous; the values are the same
+    products as a point-major gather.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != terms.n:
         raise ValueError(f"expected {terms.n} factors, got {x.shape[-1]}")
-    x1 = np.empty(x.shape[:-1] + (terms.n + 1,))
-    x1[..., :-1] = x
-    x1[..., -1] = 1.0
-    return x1.take(terms.pair_a, axis=-1) * x1.take(terms.pair_b, axis=-1)
+    x1 = np.empty((terms.n + 1,) + x.shape[-2::-1])
+    x1[:-1] = x.T
+    x1[-1] = 1.0
+    return (x1.take(terms.pair_a, axis=0) * x1.take(terms.pair_b, axis=0)).T
 
 
 def build_design_matrix(

@@ -35,9 +35,15 @@ __all__ = [
 ]
 
 MAX_GRID_NODES = int(2e8)
-# Grid nodes scored per batch: large enough that per-batch overhead is
-# small, small enough that the (chunk, p) basis temporaries stay a few MB.
-GRID_CHUNK = 65_536
+# Grid nodes scored per batch. Each batch makes several (chunk, p) float64
+# temporaries (the basis z, z'A and their product). glibc serves a block
+# above its mmap threshold (128 KiB by default) with a fresh mapping and
+# unmaps it on free, so every batch faults those pages in again; at 2,048
+# nodes a (chunk, 7) block is 112 KiB and comes from the heap, reused by
+# the next batch. At 65,536 nodes, eight 0.02 grids over the example took
+# about 293,000 minor faults per pass; at 2,048 they take a few dozen, and
+# the pass takes a third of the time (chunk sweep in CHANGES.md).
+GRID_CHUNK = 2_048
 DEFAULT_PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5)
 # Penalty weight the grid oracle applies to squared residuals. Balances
 # two opposing biases at the default 0.01 grid: too large and the
@@ -138,6 +144,9 @@ def _region_grid(region: Region, resolution: float):
     found = False
     for pts in _grid_chunks(axes, GRID_CHUNK):
         if region.kind == "hypersphere":
+            # einsum's row sums round differently on a column-major block
+            # when n >= 3; test the norm on a row-major copy
+            pts = np.ascontiguousarray(pts)
             pts = pts[np.einsum("ij,ij->i", pts, pts) <= region.radius**2]
             if pts.shape[0] == 0:
                 continue
@@ -149,20 +158,28 @@ def _region_grid(region: Region, resolution: float):
 
 
 def _grid_chunks(axes: list[np.ndarray], chunk: int):
-    """Yield grid points in lexicographic order, chunked along axis 0 blocks."""
+    """Yield grid points in lexicographic order, in blocks of at most
+    ``chunk`` rows.
+
+    Each block decodes a range of flat indices with one ``divmod`` per axis
+    and fills the coordinates feature-major, one contiguous row per axis;
+    it is yielded as the (rows, n) transpose of that array, which is what
+    ``evaluate_basis`` reads fastest. The built-in programs give the same
+    bits for any layout; a hand-built objective that reduces along the
+    factor axis (an einsum, say) may round its last bit differently than
+    on a row-major block.
+    """
     n = len(axes)
     sizes = [a.size for a in axes]
     total = int(np.prod(sizes))
-    # enumerate flat indices in blocks; decode to coordinates vectorized
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop)
-        coords = np.empty((flat.size, n))
-        rem = flat
-        for i in range(n - 1, -1, -1):
-            coords[:, i] = axes[i][rem % sizes[i]]
-            rem = rem // sizes[i]
-        yield coords
+        rem = np.arange(start, min(start + chunk, total))
+        coords = np.empty((n, rem.size))
+        for i in range(n - 1, 0, -1):
+            rem, idx = np.divmod(rem, sizes[i])
+            axes[i].take(idx, out=coords[i])
+        axes[0].take(rem, out=coords[0])
+        yield coords.T
 
 
 def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10,

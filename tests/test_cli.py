@@ -220,8 +220,9 @@ class TestCommands:
         lambda doc: {**doc, "sigma_hat": doc["sigma_hat"][0]},
         lambda doc: {**doc, "residuals": doc["residuals"][:-1]},
         lambda doc: {**doc, "terms": doc["terms"][:-1]},
+        lambda doc: {**doc, "terms": ["x1^0"] + doc["terms"][1:]},
     ], ids=["missing keys", "b_hat rows", "sigma_hat shape", "residual rows",
-            "terms vs p"])
+            "terms vs p", "zero exponent"])
     def test_malformed_model_is_data_error(self, model_path, tmp_path, edit, capsys):
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
@@ -341,6 +342,71 @@ def test_infinite_region_is_data_error(small_config, region, message, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize("method, message", [
+    ({"name": "modified-e-epsilon", "tau": [103, 73, 1]},
+     "tau must have one entry per response (2), got [103.0, 73.0, 1.0]"),
+    ({"name": "modified-e-epsilon", "tau": [103]},
+     "tau must have one entry per response (2), got [103.0]"),
+    ({"name": "kataoka-weighting", "w": [0.2, 0.3, 0.5]},
+     "w must have one entry per response (2)"),
+    ({"name": "p-model-epsilon", "tau": [103, 73], "primary": 2,
+      "epsilon": [3.9753, 0, 0]},
+     "epsilon must have one entry per response (2)"),
+    ({"name": "kataoka-epsilon", "tau": [103, 73], "primary": 3},
+     "primary must be a response number in 1..2, got 3"),
+    ({"name": "kataoka-epsilon", "tau": [103, 73], "primary": 0},
+     "primary must be an integer >= 1, got 0"),
+    ({"name": "kataoka-epsilon", "tau": [103, 73], "primary": 1.5},
+     "primary must be an integer >= 1, got 1.5"),
+    ({"name": "kataoka-epsilon", "tau": [103, 73], "primary": True},
+     "primary must be an integer >= 1, got True"),
+], ids=["tau long", "tau short", "w long", "epsilon long", "primary 3",
+        "primary 0", "primary 1.5", "primary true"])
+def test_method_that_does_not_fit_the_responses_is_data_error(small_config, method,
+                                                               message, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["methods"].append(method)
+    small_config.write_text(json.dumps(doc))
+    for argv in (["report"], ["optimize", "--method", method["name"]]):
+        assert main(argv + ["--config", str(small_config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert f"method {method['name']!r}" in err and message in err
+
+
+@pytest.mark.parametrize("key, value, least", [
+    ("multistart", 0, 1), ("multistart", 2.5, 1), ("multistart", True, 1),
+    ("seed", -1, 0), ("seed", 1.5, 0), ("seed", True, 0),
+])
+def test_solver_setting_must_be_an_integer_in_range(small_config, key, value, least,
+                                                    capsys):
+    doc = json.loads(small_config.read_text())
+    doc["solver"][key] = value
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"solver {key} must be an integer >= {least}, got {value!r}" in err
+
+
+def test_negative_seed_option_is_usage_error(small_config, capsys):
+    for command in (["report"], ["optimize", "--method", "v-model"]):
+        assert main(command + ["--config", str(small_config), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("term", ["x1^0", "x1^-1", "x1^3", "x", "x1^a", "x4"])
+def test_bad_term_in_config_is_data_error(small_config, term, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["terms"][0] = term
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"bad term {term!r}" in err
 
 
 class TestReport:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,19 @@ class TestTermSpec:
     def test_parse_names(self):
         spec = TermSpec.from_names(["1", "x2", "x1^2", "x1*x3"], 3)
         assert spec.terms == ((), (1,), (0, 0), (0, 2))
+
+    def test_parse_exponent_one_and_spaces(self):
+        spec = TermSpec.from_names(["1", "x1^1", "x2 * x3", "x3 ^ 2"], 3)
+        assert spec.terms == ((), (0,), (1, 2), (2, 2))
+
+    @pytest.mark.parametrize("bad", [
+        "x1^0", "x1^-1", "x1^3", "x1^a", "x1^", "x", "y1", "x0", "x4", "x1*",
+        "x1^2*x2", "x1*x2*x3", "1*x1", "x²", 1,
+    ])
+    def test_bad_term_is_named(self, bad):
+        # in place of the intercept, x1^0 and x1^-1 used to load as "1"
+        with pytest.raises(ValueError, match=f"bad term {re.escape(repr(bad))}"):
+            TermSpec.from_names([bad, "x1", "x2", "x3"], 3)
 
 
 class TestEvaluateBasis:

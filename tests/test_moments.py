@@ -66,14 +66,26 @@ def cases(draw):
     return model, x, tau, confidence
 
 
+def layouts(x):
+    """x, a Fortran-ordered copy, a view with every other column of a
+    wider array (and every third row when batched), and a view with
+    negative strides: the same values in the layouts a caller may pass."""
+    strided = np.repeat(x, 2, axis=-1)[..., ::2]
+    if x.ndim > 1:
+        strided = np.repeat(strided, 3, axis=0)[::3]
+    reversed_view = np.ascontiguousarray(x[..., ::-1])[..., ::-1]
+    return [x, np.asfortranarray(x), strided, reversed_view]
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=cases())
 def test_index_pair_basis_equals_loop_reference(case):
     model, x, _, _ = case
-    got = evaluate_basis(x, model.terms)
     want = evaluate_basis_loop(x, model.terms)
-    assert got.shape == x.shape[:-1] + (model.p,)
-    assert np.array_equal(got, want)
+    for view in layouts(x):
+        got = evaluate_basis(view, model.terms)
+        assert got.shape == x.shape[:-1] + (model.p,)
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,10 +135,14 @@ def quadratic_form_cases(draw):
     k, l = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     batch = draw(st.sampled_from([(), (k,), (k, l)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p = terms.p
-    a = rng.standard_normal((p, p))
     x = rng.uniform(-2.0, 2.0, size=batch + (terms.n,))
-    return evaluate_basis(x, terms), a @ a.T / p + np.eye(p)
+    return evaluate_basis(x, terms), spd(rng, terms.p)
+
+
+def spd(rng, p):
+    """A random symmetric positive definite (p, p) matrix, eigenvalues >= 1."""
+    a = rng.standard_normal((p, p))
+    return a @ a.T / p + np.eye(p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,3 +154,25 @@ def test_quadratic_form_matches_three_operand_einsum(case):
     assert np.shape(got) == z.shape[:-1]
     assert np.all(got >= 0)
     assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@st.composite
+def feature_major_cases(draw):
+    """A (k, p) basis batch as ``evaluate_basis`` lays it out, the transpose
+    of a C-contiguous (p, k) array, and a random SPD A."""
+    terms = draw(term_specs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-2.0, 2.0, size=(draw(st.integers(1, 64)), terms.n))
+    return evaluate_basis(x, terms), spd(rng, terms.p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=feature_major_cases())
+def test_feature_major_quadratic_form_matches_einsum(case):
+    z, a = case
+    assert z.T.flags.c_contiguous  # the layout that takes the (A' z') * z' branch
+    got = _quadratic_form(z, a)
+    assert got.shape == z.shape[:1]
+    assert np.allclose(got, np.einsum("...i,ij,...j->...", z, a, z), rtol=1e-12, atol=0)
+    row_major = _quadratic_form(np.ascontiguousarray(z), a)
+    assert np.allclose(got, row_major, rtol=1e-12, atol=0)

@@ -70,6 +70,22 @@ class TestGridSearch:
             got = np.concatenate(list(_grid_chunks(axes, chunk)))
             assert np.array_equal(got, want)
 
+    def test_results_do_not_depend_on_the_chunk_size(self, example_model, run_config,
+                                                      monkeypatch):
+        programs = [build_program(example_model, spec, run_config.region)
+                    for spec in run_config.methods]
+        assert len(programs) == 8
+        results = {}
+        for chunk in (7, GRID_CHUNK, 65_536):
+            monkeypatch.setattr(solve, "GRID_CHUNK", chunk)
+            results[chunk] = [grid_search(p, 0.1) for p in programs]
+        for chunk in (7, 65_536):
+            for got, want in zip(results[chunk], results[GRID_CHUNK]):
+                assert got.x_star.tolist() == want.x_star.tolist()
+                assert got.f_star == want.f_star
+                assert got.evaluations == want.evaluations == 21**3
+                assert got.constraint_residuals.tolist() == want.constraint_residuals.tolist()
+
     def test_region_grid_keeps_the_ball_nodes_in_order_at_any_size(self, monkeypatch):
         region = Region.hypersphere(1.0, dim=3)
         axes = [np.linspace(-1, 1, 9)] * 3
