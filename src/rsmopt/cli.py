@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import programs as prog
-from .fit import FittedModel, covariance_at, fit_ols, predict, unit_variance
+from .fit import FittedModel, fit_ols, moments
 from .model import ExperimentData, Region, Run, TermSpec, build_design_matrix
 from .programs import MethodConfig, ScalarProgram
 from .solve import SolveResult, multistart
@@ -249,7 +249,7 @@ def load_config(path: str | Path) -> RunConfig:
         if reg["kind"] == "hypercube":
             region = Region.hypercube(reg["lower"], reg["upper"])
         elif reg["kind"] == "hypersphere":
-            region = Region.hypersphere(float(reg["radius"]), dim=int(reg["dim"]))
+            region = Region.hypersphere(float(reg["radius"]), dim=reg["dim"])
         else:
             raise DataError(f"unknown region kind {reg['kind']!r}")
         terms = TermSpec.from_names(doc["terms"], region.bounding_box()[0].size)
@@ -373,9 +373,9 @@ def _row_from_x(model: FittedModel, label: str, x: np.ndarray,
                 residuals: np.ndarray | None = None,
                 converged: bool | None = None) -> dict:
     # Var/Cov columns are always recomputed from the model at x.
-    cov = covariance_at(model, x)
-    y_hat = predict(model, x)
-    row = {
+    y_hat, q = moments(model, x)
+    cov = q * model.sigma_hat
+    return {
         "method": label,
         "x": [float(v) for v in x],
         "F": None if f_star is None else float(f_star),
@@ -388,7 +388,6 @@ def _row_from_x(model: FittedModel, label: str, x: np.ndarray,
         "residuals": [] if residuals is None else [float(v) for v in residuals],
         "converged": converged,
     }
-    return row
 
 
 def optimize_method(model: FittedModel, spec: MethodSpec, region: Region,
@@ -485,11 +484,12 @@ def cmd_eval(args) -> int:
         raise DataError(f"expected {model.n} coordinates, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise DataError(f"coordinates must be finite, got {args.x}")
+    y_hat, q = moments(model, x)
     record = {
         "x": x.tolist(),
-        "y_hat": predict(model, x).tolist(),
-        "q": float(unit_variance(model, x)),
-        "cov": covariance_at(model, x).tolist(),
+        "y_hat": y_hat.tolist(),
+        "q": float(q),
+        "cov": (q * model.sigma_hat).tolist(),
     }
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -74,9 +74,9 @@ class TermSpec:
         object.__setattr__(self, "terms", terms)
         if not terms or terms[0] != ():
             raise ValueError("first term must be the intercept")
-        if len(set(terms)) != len(terms):
-            raise ValueError("duplicate monomials")
-        for t in terms:
+        for j, t in enumerate(terms):
+            if t in terms[:j]:
+                raise ValueError(f"duplicate monomial {_term_name(t)!r}")
             if len(t) > 2:
                 raise ValueError(f"monomial degree > 2: {t}")
             if any(i < 0 or i >= self.n for i in t):
@@ -100,23 +100,27 @@ class TermSpec:
 
     @classmethod
     def from_names(cls, names: list[str], n: int) -> "TermSpec":
+        if not isinstance(names, list):
+            raise ValueError(f"terms must be a list of term names, got {names!r}")
         return cls(n=n, terms=tuple(_parse_monomial(s, n) for s in names))
 
     def term_names(self) -> list[str]:
-        out = []
-        for t in self.terms:
-            if not t:
-                out.append("1")
-            elif len(t) == 2 and t[0] == t[1]:
-                out.append(f"x{t[0] + 1}^2")
-            else:
-                out.append("*".join(f"x{i + 1}" for i in t))
-        return out
+        return [_term_name(t) for t in self.terms]
+
+
+def _term_name(t: tuple[int, ...]) -> str:
+    """The canonical name of a monomial: ``1``, ``x2``, ``x1^2`` or ``x1*x3``."""
+    if not t:
+        return "1"
+    if len(t) == 2 and t[0] == t[1]:
+        return f"x{t[0] + 1}^2"
+    return "*".join(f"x{i + 1}" for i in t)
 
 
 @dataclass(frozen=True)
 class Region:
-    """Feasible region: a closed hypercube or a hypersphere ||x|| <= radius.
+    """Feasible region: a closed hypercube or a hypersphere ||x|| <= radius
+    in ``dim`` factors.
 
     The factor bounds are closed even though optima may sit exactly on
     them; an open box would have no attained minimum there.
@@ -143,6 +147,10 @@ class Region:
         elif self.kind == "hypersphere":
             if self.radius is None or not 0 < self.radius < np.inf:
                 raise ValueError("radius must be positive and finite")
+            if (isinstance(self.dim, bool)
+                    or not isinstance(self.dim, (int, np.integer)) or self.dim < 1):
+                raise ValueError(f"hypersphere dim must be a positive integer, "
+                                 f"got {self.dim!r}")
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
@@ -151,28 +159,24 @@ class Region:
         return cls(kind="hypercube", lower=lower, upper=upper)
 
     @classmethod
-    def hypersphere(cls, radius: float, dim: int | None = None) -> "Region":
+    def hypersphere(cls, radius: float, dim: int) -> "Region":
         return cls(kind="hypersphere", radius=radius, dim=dim)
 
     @classmethod
     def unit_cube(cls, n: int) -> "Region":
         return cls.hypercube(-np.ones(n), np.ones(n))
 
-    def bounding_box(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "hypercube":
             return self.lower.copy(), self.upper.copy()
-        if n is None:
-            n = self.dim
-        if n is None:
-            raise ValueError("hypersphere bounding box needs the dimension")
         c = float(self.radius)
-        return -c * np.ones(n), c * np.ones(n)
+        return -c * np.ones(self.dim), c * np.ones(self.dim)
 
     def contains(self, x, atol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
+        if x.shape != self.bounding_box()[0].shape:
+            raise ValueError("dimension mismatch")
         if self.kind == "hypercube":
-            if x.shape != self.lower.shape:
-                raise ValueError("dimension mismatch")
             return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
         return bool(x @ x <= self.radius**2 + atol)
 

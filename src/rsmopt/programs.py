@@ -7,15 +7,14 @@ leading batch axis so the grid oracle can evaluate millions of points.
 
 Notation used throughout: m_k(x) is the predicted mean of response k and
 s_k(x) = sqrt(q(x) * sigma_kk) its prediction standard deviation.
-Each constructor defines its method once, as a score function that maps
-a batch to the objective and every equality residual from one pass over
-(m, q); the solvers call that function, and the program's ``objective``
-and ``eq_constraints`` are its components. A method that needs both m
-and q gets them from one ``moments`` call per batch; one that needs only
-one calls ``predict`` or ``unit_variance``, and modified-e-epsilon, which
-needs q for its objective and m for its constraints, calls each once.
-What does not depend on x (a normal quantile, diag Sigma) is computed
-once per program.
+Each constructor defines its method once, as a function ``fn(m, q)`` of the
+moments that returns the objective and every equality residual, and
+``_program`` composes it with one ``moments`` call per batch: that
+composition is the program's ``score``, which the solvers call, and its
+``objective`` and ``eq_constraints`` are the components. modified-e-epsilon
+is the one exception: it reads (m, q) through ``predict`` and
+``unit_variance`` (its docstring says why). What does not depend on x (a
+normal quantile, diag Sigma) is computed once per program.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fit import FittedModel, covariance_at, matrix_sqrt, moments, predict, unit_variance
+from .fit import FittedModel, matrix_sqrt, moments, predict, unit_variance
 from .model import Region
 
 __all__ = [
@@ -130,9 +129,17 @@ def _composed_score(objective, eq_constraints) -> Score:
     return score
 
 
-def _program(score: Score, n_eq: int, region: Region, descriptor: str,
-             smooth: bool = True) -> ScalarProgram:
-    """A built-in program: the objective and each constraint read ``score``."""
+def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
+             descriptor: str, smooth: bool = True, read=None) -> ScalarProgram:
+    """A built-in program over the unit cube unless ``region`` is given:
+    ``fn(m, q)`` gives the objective and ``n_eq`` residuals, and its (m, q)
+    come from one ``moments`` call per batch unless ``read(x)`` is given.
+    The objective and each constraint read the composed ``score``."""
+    read = read or (lambda x: moments(model, x))
+
+    def score(x):
+        return fn(*read(x))
+
     def constraint(k: int):
         return lambda x: score(x)[1][k]
 
@@ -140,7 +147,7 @@ def _program(score: Score, n_eq: int, region: Region, descriptor: str,
         objective=lambda x: score(x)[0],
         eq_constraints=tuple(constraint(k) for k in range(n_eq)),
         score=score,
-        region=region,
+        region=region if region is not None else Region.unit_cube(model.n),
         descriptor=descriptor,
         smooth=smooth,
     )
@@ -152,10 +159,6 @@ class GoalDeviations:
 
     d_plus: np.ndarray
     d_minus: np.ndarray
-
-
-def _default_region(model: FittedModel, region: Region | None) -> Region:
-    return region if region is not None else Region.unit_cube(model.n)
 
 
 def _require(cfg: MethodConfig, *names: str) -> None:
@@ -170,10 +173,10 @@ def v_model(model: FittedModel, cfg: MethodConfig | None = None,
     its argmin with q(x), so the objective is just (scaled) q."""
     scale = cfg.variance_scale if cfg is not None else 1.0
 
-    def score(x):
-        return scale * np.asarray(unit_variance(model, x)), ()
+    def fn(m, q):
+        return scale * q, ()
 
-    return _program(score, 0, _default_region(model, region), "v-model")
+    return _program(model, fn, 0, region, "v-model")
 
 
 def mean_weighting(model: FittedModel, cfg: MethodConfig,
@@ -182,10 +185,10 @@ def mean_weighting(model: FittedModel, cfg: MethodConfig,
     _require(cfg, "w")
     w = cfg.w
 
-    def score(x):
-        return predict(model, x) @ w, ()
+    def fn(m, q):
+        return m @ w, ()
 
-    return _program(score, 0, _default_region(model, region), "mean-weighting")
+    return _program(model, fn, 0, region, "mean-weighting")
 
 
 def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
@@ -194,35 +197,38 @@ def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
     _require(cfg, "w")
     w, r1, r2, scale = cfg.w, cfg.r1, cfg.r2, cfg.variance_scale
 
-    def score(x):
-        m, q = moments(model, x)
+    def fn(m, q):
         return r1 * (m @ w) + r2 * scale * q, ()
 
-    return _program(score, 0, _default_region(model, region), "modified-e-weighting")
+    return _program(model, fn, 0, region, "modified-e-weighting")
 
 
 def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
                        region: Region | None = None) -> ScalarProgram:
-    """Minimize scaled q subject to every predicted mean hitting its target."""
+    """Minimize scaled q subject to every predicted mean hitting its target.
+
+    The one program that does not read ``moments``: it takes m from
+    ``predict`` and q from ``unit_variance``, two basis evaluations per
+    batch, because the layered benchmark requires each of its basis calls
+    to sit under one of those two spans. ROADMAP item 1 lifts that."""
     _require(cfg, "tau")
     tau, scale = cfg.tau, cfg.variance_scale
 
-    def score(x):
-        m = predict(model, x)
-        return (scale * np.asarray(unit_variance(model, x)),
-                tuple(m[..., k] - tau[k] for k in range(model.r)))
+    def fn(m, q):
+        return scale * q, tuple(m[..., k] - tau[k] for k in range(model.r))
 
-    return _program(score, model.r, _default_region(model, region),
-                    "modified-e-epsilon")
+    def read(x):
+        return predict(model, x), np.asarray(unit_variance(model, x))
+
+    return _program(model, fn, model.r, region, "modified-e-epsilon", read=read)
 
 
-def _p_model_fn(model: FittedModel, tau) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> (tau_k - m_k(x)) / s_k(x), with diag Sigma taken once."""
+def _p_model_fn(model: FittedModel, tau):
+    """(m, q) -> (tau_k - m_k) / s_k, with diag Sigma taken once."""
     tau = np.asarray(tau, dtype=float)
     var_diag = np.diag(model.sigma_hat)
 
-    def terms(x):
-        m, q = moments(model, x)
+    def terms(m, q):
         s = np.sqrt(np.multiply.outer(q, var_diag))
         if np.any(s <= 0):
             raise ValueError("zero prediction variance")
@@ -233,7 +239,7 @@ def _p_model_fn(model: FittedModel, tau) -> Callable[[np.ndarray], np.ndarray]:
 
 def p_model_terms(model: FittedModel, tau, x) -> np.ndarray:
     """Standardized shortfalls (tau_k - m_k(x)) / s_k(x); shape (..., r)."""
-    return _p_model_fn(model, tau)(x)
+    return _p_model_fn(model, tau)(*moments(model, x))
 
 
 def p_model_weighting(model: FittedModel, cfg: MethodConfig,
@@ -241,46 +247,42 @@ def p_model_weighting(model: FittedModel, cfg: MethodConfig,
     _require(cfg, "tau", "w")
     terms, w = _p_model_fn(model, cfg.tau), cfg.w
 
-    def score(x):
-        return terms(x) @ w, ()
+    def fn(m, q):
+        return terms(m, q) @ w, ()
 
-    return _program(score, 0, _default_region(model, region), "p-model-weighting")
+    return _program(model, fn, 0, region, "p-model-weighting")
 
 
-def _epsilon_score(model: FittedModel, terms, targets: np.ndarray,
-                   primary_index: int) -> Score:
-    """Keep the primary term as the objective; every other term minus its
-    target is an equality residual."""
+def _epsilon_fn(model: FittedModel, terms, targets: np.ndarray, primary_index: int):
+    """(m, q) -> the primary term as the objective, and every other term
+    minus its target as an equality residual."""
     k_star = primary_index - 1
     if not 0 <= k_star < model.r:
         raise ValueError("primary_index out of range")
     others = [k for k in range(model.r) if k != k_star]
 
-    def score(x):
-        t = terms(x)
+    def fn(m, q):
+        t = terms(m, q)
         return t[..., k_star], tuple(t[..., k] - targets[k] for k in others)
 
-    return score
+    return fn
 
 
 def p_model_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Keep one standardized term as objective; pin the others to epsilon."""
     _require(cfg, "tau", "primary_index", "epsilon")
-    score = _epsilon_score(model, _p_model_fn(model, cfg.tau), cfg.epsilon,
-                           cfg.primary_index)
-    return _program(score, model.r - 1, _default_region(model, region),
-                    "p-model-epsilon")
+    fn = _epsilon_fn(model, _p_model_fn(model, cfg.tau), cfg.epsilon, cfg.primary_index)
+    return _program(model, fn, model.r - 1, region, "p-model-epsilon")
 
 
-def _kataoka_fn(model: FittedModel, cfg: MethodConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> m_k(x) + quantile * s_k(x), with the quantile and diag Sigma
+def _kataoka_fn(model: FittedModel, cfg: MethodConfig):
+    """(m, q) -> m_k + quantile * s_k, with the quantile and diag Sigma
     taken once."""
     quant = normal_quantile(cfg.confidence)
     var_diag = np.diag(model.sigma_hat)
 
-    def terms(x):
-        m, q = moments(model, x)
+    def terms(m, q):
         return m + quant * np.sqrt(np.multiply.outer(q, var_diag))
 
     return terms
@@ -288,7 +290,7 @@ def _kataoka_fn(model: FittedModel, cfg: MethodConfig) -> Callable[[np.ndarray],
 
 def kataoka_terms(model: FittedModel, cfg: MethodConfig, x) -> np.ndarray:
     """m_k(x) + quantile(confidence) * s_k(x); shape (..., r)."""
-    return _kataoka_fn(model, cfg)(x)
+    return _kataoka_fn(model, cfg)(*moments(model, x))
 
 
 def kataoka_weighting(model: FittedModel, cfg: MethodConfig,
@@ -296,19 +298,18 @@ def kataoka_weighting(model: FittedModel, cfg: MethodConfig,
     _require(cfg, "w")
     terms, w = _kataoka_fn(model, cfg), cfg.w
 
-    def score(x):
-        return terms(x) @ w, ()
+    def fn(m, q):
+        return terms(m, q) @ w, ()
 
-    return _program(score, 0, _default_region(model, region), "kataoka-weighting")
+    return _program(model, fn, 0, region, "kataoka-weighting")
 
 
 def kataoka_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Minimize the primary Kataoka term; pin the others to their targets."""
     _require(cfg, "tau", "primary_index")
-    score = _epsilon_score(model, _kataoka_fn(model, cfg), cfg.tau, cfg.primary_index)
-    return _program(score, model.r - 1, _default_region(model, region),
-                    "kataoka-epsilon")
+    fn = _epsilon_fn(model, _kataoka_fn(model, cfg), cfg.tau, cfg.primary_index)
+    return _program(model, fn, model.r - 1, region, "kataoka-epsilon")
 
 
 def goal_deviations(model: FittedModel, cfg: MethodConfig, x) -> GoalDeviations:
@@ -330,11 +331,10 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
     _require(cfg, "tau", "w")
     terms, tau, w = _kataoka_fn(model, cfg), cfg.tau, cfg.w
 
-    def score(x):
-        return np.abs(terms(x) - tau) @ w, ()
+    def fn(m, q):
+        return np.abs(terms(m, q) - tau) @ w, ()
 
-    return _program(score, 0, _default_region(model, region), "goal-programming",
-                    smooth=False)
+    return _program(model, fn, 0, region, "goal-programming", smooth=False)
 
 
 def normal_quantile(prob: float) -> float:
@@ -357,8 +357,8 @@ def joint_probability_mc(model: FittedModel, x, tau, n_samples: int,
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     tau = np.asarray(tau, dtype=float)
-    mean = predict(model, x)
-    root = matrix_sqrt(covariance_at(model, x))
+    mean, q = moments(model, x)
+    root = matrix_sqrt(q * model.sigma_hat)
     rng = np.random.default_rng(seed)
     draws = mean + rng.standard_normal((int(n_samples), model.r)) @ root
     p_hat = float(np.mean(np.all(draws <= tau, axis=1)))

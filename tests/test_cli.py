@@ -311,6 +311,33 @@ def test_unknown_region_kind_is_data_error(small_config, capsys):
     assert "unknown region kind 'cube'" in err
 
 
+@pytest.mark.parametrize("terms", ["1", "x1", 1, {"1": 1}],
+                         ids=["intercept string", "term string", "number", "object"])
+def test_terms_not_a_list_is_data_error(small_config, terms, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["terms"] = terms
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "terms must be a list of term names" in err
+
+
+@pytest.mark.parametrize("terms, repeated", [
+    (["1", "x1*x2", "x2*x1"], "x1*x2"),
+    (["1", "x1", "x1^1"], "x1"),
+])
+def test_duplicate_term_is_data_error_naming_it(small_config, terms, repeated, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["terms"] = terms
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"duplicate monomial {repeated!r}" in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["fixed_points"][0].update(x=[float("nan"), 0, 0]),
     lambda doc: doc["fixed_points"][0].update(x=[1, float("inf"), -1]),
@@ -342,6 +369,17 @@ def test_infinite_region_is_data_error(small_config, region, message, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize("dim", [0, 2.5, 3.0, "3", None])
+def test_hypersphere_dim_not_a_positive_integer_is_data_error(small_config, dim, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["region"] = {"kind": "hypersphere", "radius": 1.0, "dim": dim}
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"hypersphere dim must be a positive integer, got {dim!r}" in err
 
 
 @pytest.mark.parametrize("method, message", [

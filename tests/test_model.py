@@ -43,6 +43,20 @@ class TestTermSpec:
         with pytest.raises(ValueError):
             TermSpec(n=2, terms=((), (5,)))
 
+    @pytest.mark.parametrize("names, repeated", [
+        (["1", "x1*x2", "x2*x1"], "x1*x2"),
+        (["1", "x1", "x1^1"], "x1"),
+        (["1", "x2^2", "x2*x2"], "x2^2"),
+    ])
+    def test_duplicate_names_the_repeated_term(self, names, repeated):
+        with pytest.raises(ValueError, match=f"duplicate monomial {re.escape(repr(repeated))}"):
+            TermSpec.from_names(names, 2)
+
+    @pytest.mark.parametrize("names", ["1", "x1", {"1": 1}, None])
+    def test_terms_must_be_a_list(self, names):
+        with pytest.raises(ValueError, match="terms must be a list"):
+            TermSpec.from_names(names, 2)
+
     def test_parse_names(self):
         spec = TermSpec.from_names(["1", "x2", "x1^2", "x1*x3"], 3)
         assert spec.terms == ((), (1,), (0, 0), (0, 2))
@@ -127,7 +141,23 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region.hypercube([0, 0], [1, 0])
         with pytest.raises(ValueError):
-            Region.hypersphere(-1.0)
+            Region.hypersphere(-1.0, dim=2)
+
+    @pytest.mark.parametrize("dim", [None, 0, -1, 2.0, True, "3"])
+    def test_hypersphere_needs_a_positive_integer_dim(self, dim):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            Region.hypersphere(1.0, dim=dim)
+
+    def test_hypersphere_dim_is_required(self):
+        with pytest.raises(TypeError):
+            Region.hypersphere(1.0)
+
+    @pytest.mark.parametrize("region", [Region.hypersphere(1.0, dim=3), Region.unit_cube(3)],
+                             ids=["ball", "box"])
+    @pytest.mark.parametrize("x", [[0, 0], [0, 0, 0, 0], [[0, 0, 0]]])
+    def test_contains_rejects_a_point_of_the_wrong_length(self, region, x):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            region.contains(x)
 
     @pytest.mark.parametrize("lower, upper", [
         ([-1, -1], [1, np.inf]),

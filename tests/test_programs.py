@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmopt import fit, solve
+from rsmopt import cli, fit, solve
 from rsmopt.cli import METHOD_CONSTRUCTORS, build_program
 from rsmopt.fit import FittedModel, predict, unit_variance
 from rsmopt.model import Region, TermSpec
@@ -413,6 +413,38 @@ class TestScore:
         assert result.evaluations == 21**3
         assert len(batches) == per_chunk * 10
         assert sum(batches) == per_chunk * result.evaluations
+
+    @pytest.mark.parametrize("reader", [
+        "report row", "rsmopt eval", "joint_probability_mc", "p_model_terms",
+        "kataoka_terms", "goal_deviations",
+    ])
+    def test_each_point_reader_builds_the_basis_once(self, example_model, monkeypatch,
+                                                     tmp_path, reader):
+        x = np.array([0.25, -0.5, 0.75])
+        cfg = MethodConfig(tau=TAU, w=WEIGHTS)
+        model_path = tmp_path / "model.json"
+        cli.save_model(example_model, model_path)
+        calls = {
+            "report row": lambda: cli._row_from_x(example_model, "point", x),
+            "rsmopt eval": lambda: cli.main(["eval", "--model", str(model_path),
+                                             "--x", "0.25,-0.5,0.75",
+                                             "--out", str(tmp_path / "eval.json")]),
+            "joint_probability_mc": lambda: joint_probability_mc(example_model, x, TAU,
+                                                                 1000, seed=0),
+            "p_model_terms": lambda: p_model_terms(example_model, TAU, x),
+            "kataoka_terms": lambda: kataoka_terms(example_model, cfg, x),
+            "goal_deviations": lambda: goal_deviations(example_model, cfg, x),
+        }
+        real = fit.evaluate_basis
+        points = []
+
+        def counting(x, terms):
+            points.append(np.asarray(x).tolist())
+            return real(x, terms)
+
+        monkeypatch.setattr(fit, "evaluate_basis", counting)
+        calls[reader]()
+        assert points == [x.tolist()]
 
     def test_hand_built_program_scores_from_its_callables(self):
         program = ScalarProgram(

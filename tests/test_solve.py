@@ -323,13 +323,13 @@ class TestPolishDispatch:
 class TestPenaltySolve:
     def test_requires_constraints(self, example_model):
         with pytest.raises(ValueError):
-            penalty_solve(v_model(example_model))
+            penalty_solve(v_model(example_model), np.zeros(3))
 
     def test_kataoka_epsilon_paper_value(self, example_model):
         prog = kataoka_epsilon(
             example_model, MethodConfig(tau=TAU, primary_index=2, confidence=0.95)
         )
-        res = penalty_solve(prog)
+        res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
         assert res.converged
         assert res.f_star == pytest.approx(67.296, abs=0.05)
 
@@ -344,28 +344,54 @@ class TestPenaltySolve:
             region=Region.unit_cube(3),
             descriptor="pinned mean",
         )
-        res = penalty_solve(prog, x0=x0)
+        res = penalty_solve(prog, x0)
         assert res.converged
         assert np.max(res.constraint_residuals) < 1e-6
 
-    def test_residuals_non_increasing(self, example_model):
+    def test_residuals_non_increasing(self, example_model, monkeypatch):
         prog = modified_e_epsilon(
             example_model, MethodConfig(tau=TAU, variance_scale=32)
         )
-        res = penalty_solve(prog)
-        hist = res.residual_trace
-        assert hist is not None and len(hist) >= 2
-        for earlier, later in zip(hist, hist[1:]):
+        real = solve._polish
+        stages = []
+
+        def recording(*args, **kwargs):
+            step = real(*args, **kwargs)
+            stages.append(np.max(solve._residuals_at(prog, step.x_star)))
+            return step
+
+        monkeypatch.setattr(solve, "_polish", recording)
+        res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
+        assert len(stages) == len(solve.DEFAULT_PENALTY_SCHEDULE)
+        for earlier, later in zip(stages, stages[1:]):
             assert later <= earlier + 1e-6
+        assert stages[-1] == np.max(res.constraint_residuals)
 
     def test_infeasible_targets_flagged(self, example_model):
         prog = modified_e_epsilon(
             example_model, MethodConfig(tau=[200.0, 0.0], variance_scale=32)
         )
-        res = penalty_solve(prog)
+        res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
         assert not res.converged
         assert np.max(res.constraint_residuals) > 1e-2
 
+
+    def test_stagnating_infeasible_sequence_stops(self, example_model, monkeypatch):
+        prog = modified_e_epsilon(
+            example_model, MethodConfig(tau=[200.0, 0.0], variance_scale=32)
+        )
+        real = solve._polish
+        stages = []
+
+        def recording(*args, **kwargs):
+            stages.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solve, "_polish", recording)
+        res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
+        # two stages with the same residual above 1e-2: no third stage
+        assert len(stages) == 2
+        assert not res.converged
 
 class TestMultistart:
     def test_dominates_oracle_unconstrained(self, example_model):
