@@ -49,6 +49,7 @@ from .solve import (
     nelder_mead,
     pareto_front,
     penalty_solve,
+    slsqp,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

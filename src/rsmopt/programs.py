@@ -104,7 +104,10 @@ class ScalarProgram:
     ``dataclasses.replace`` swaps them). ``smooth`` declares the objective
     and constraints continuously differentiable in x, which lets a local
     solver use gradients; a program built by hand keeps the
-    derivative-free default.
+    derivative-free default. ``goals``, set only by ``goal_programming``,
+    is ``(gap, w)``: the objective is ``|gap(x)| @ w`` for a smooth
+    ``gap`` from a batch to its (batch, r) deviations from the targets,
+    which the local solver uses in deviation-variable form.
     """
 
     objective: Callable[[np.ndarray], np.ndarray]
@@ -113,6 +116,7 @@ class ScalarProgram:
     eq_constraints: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(default=())
     smooth: bool = False
     score: Score | None = None
+    goals: tuple[Callable[[np.ndarray], np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.score is None or getattr(self.score, "composed", False):
@@ -130,7 +134,8 @@ def _composed_score(objective, eq_constraints) -> Score:
 
 
 def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
-             descriptor: str, smooth: bool = True, read=None) -> ScalarProgram:
+             descriptor: str, smooth: bool = True, read=None,
+             goals=None) -> ScalarProgram:
     """A built-in program over the unit cube unless ``region`` is given:
     ``fn(m, q)`` gives the objective and ``n_eq`` residuals, and its (m, q)
     come from one ``moments`` call per batch unless ``read(x)`` is given.
@@ -150,6 +155,7 @@ def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
         region=region if region is not None else Region.unit_cube(model.n),
         descriptor=descriptor,
         smooth=smooth,
+        goals=goals,
     )
 
 
@@ -326,15 +332,21 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
                      region: Region | None = None) -> ScalarProgram:
     """Sum of weighted deviations; identical to sum w_k |term_k - tau_k|.
 
-    The |.| kinks make it the one nonsmooth program, so it keeps
-    ``smooth=False`` and a derivative-free polish."""
+    The |.| kinks make the objective nonsmooth, so the program keeps
+    ``smooth=False``; its ``goals`` carry the smooth gap term_k - tau_k and
+    the weights, which the local solver uses in the deviation-variable
+    form (Charnes & Cooper 1961)."""
     _require(cfg, "tau", "w")
     terms, tau, w = _kataoka_fn(model, cfg), cfg.tau, cfg.w
 
     def fn(m, q):
         return np.abs(terms(m, q) - tau) @ w, ()
 
-    return _program(model, fn, 0, region, "goal-programming", smooth=False)
+    def gap(x):
+        return terms(*moments(model, x)) - tau
+
+    return _program(model, fn, 0, region, "goal-programming", smooth=False,
+                    goals=(gap, w))
 
 
 def normal_quantile(prob: float) -> float:

@@ -1,19 +1,15 @@
 """Minimizers for scalar programs over box or ball regions.
 
-The exhaustive grid search is the independent oracle used by the test
-suite; the production path is ``multistart``: a coarse grid incumbent and
-deterministic quasi-random starts, each followed by a local polish, or by
-``penalty_solve`` (a quadratic penalty schedule from a given start) for
-a program with equality constraints. Both grid searches and every
-penalty stage score a program through ``program.score``, one evaluation
-per batch of points.
-
-The polish, on its own and in every penalty stage, is L-BFGS-B for a
-smooth program on a box: each iteration evaluates the objective once, on
-a batch of n+1 points that gives the value and a forward-difference
-gradient. Goal programming (its |.| terms are not differentiable), a
-program built by hand (``smooth`` defaults to False) and any program on a
-ball keep bound-clipped Nelder-Mead; see ``_polish`` for why a ball does.
+``grid_search`` is the exhaustive oracle the tests check against, scored
+through ``program.score`` one batch at a time. The production path is
+``multistart``: a coarse-grid incumbent and deterministic quasi-random
+starts, each followed by one local solve. For every built-in program that
+is ``slsqp``: SLSQP with the box bounds, the equality constraints given
+exactly, ||x||^2 <= radius^2 on a ball, and goal programming in its
+deviation-variable form; one (n+1)-point batch per point gives every value
+and forward-difference derivative. A constrained program reaches it through
+``penalty_solve``, a name kept for the benchmark's tests. Nelder-Mead runs
+only for a program built by hand with ``smooth=False`` and no constraints.
 """
 
 from __future__ import annotations
@@ -30,11 +26,10 @@ __all__ = [
     "ParetoSet",
     "grid_search",
     "nelder_mead",
-    "lbfgsb",
+    "slsqp",
     "penalty_solve",
     "multistart",
     "pareto_front",
-    "DEFAULT_PENALTY_SCHEDULE",
 ]
 
 MAX_GRID_NODES = int(2e8)
@@ -47,7 +42,6 @@ MAX_GRID_NODES = int(2e8)
 # about 293,000 minor faults per pass; at 2,048 they take a few dozen, and
 # the pass takes a third of the time (chunk sweep in CHANGES.md).
 GRID_CHUNK = 2_048
-DEFAULT_PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5)
 # Penalty weight the grid oracle applies to squared residuals. Balances
 # two opposing biases at the default 0.01 grid: too large and the
 # half-step discretization residual swamps the objective; too small and
@@ -55,6 +49,10 @@ DEFAULT_PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5)
 # objective.
 GRID_PENALTY_WEIGHT = 200.0
 FEASIBILITY_TOL = 1e-3
+# Relative f gap within which ``multistart`` ranks starts by feasibility: a
+# start stopped just off its constraints otherwise wins by what the violation
+# buys (kataoka-epsilon, radius-1.2 ball: f 1.1e-8 lower at residual 1e-8).
+F_TIE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -183,22 +181,18 @@ def _grid_chunks(axes: list[np.ndarray], chunk: int):
         yield coords.T
 
 
-def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10,
-                objective=None) -> SolveResult:
+def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10) -> SolveResult:
     """Bound-clipped simplex polish; never returns a point worse than x0."""
     from scipy.optimize import minimize  # imported on first use: scipy loads slowly
 
     region = program.region
     x0 = region.clip(np.asarray(x0, dtype=float))
-    fn = objective if objective is not None else program.objective
+    fn = program.objective
 
-    if region.kind == "hypercube":
-        # scipy's bounded Nelder-Mead clips every point it evaluates to the box
-        def scalar_fn(x):
-            return float(fn(x))
-    else:
-        def scalar_fn(x):
-            return float(fn(region.clip(x)))
+    def scalar_fn(x):
+        # scipy's bounded Nelder-Mead clips every point it evaluates to the
+        # box; a ball needs the radial clip as well
+        return float(fn(x if region.kind == "hypercube" else region.clip(x)))
 
     lo, hi = region.bounding_box()
     res = minimize(
@@ -222,101 +216,99 @@ def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10,
     )
 
 
-def lbfgsb(program: ScalarProgram, x0, tol: float = 1e-10,
-           objective=None) -> SolveResult:
-    """Bounded quasi-Newton polish on a box; never returns a point worse
-    than x0.
+def _value_and_jacobian(fn, x: np.ndarray, upper: np.ndarray):
+    """The k values of fn at x and their forward-difference (k, n) Jacobian,
+    from one call of fn on an (n+1, n) batch: x, then x plus a step of
+    sqrt(eps) * max(1, |x_i|) along each axis, taken backward where the
+    forward step would pass ``upper``. fn maps a batch of points to one
+    value per point, or to k values per point as a (batch, k) array."""
+    step = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+    step = np.where(x + step > upper, -step, step)
+    pts = np.vstack([x, x + np.diag(step)])
+    vals = np.asarray(fn(pts), dtype=float).reshape(x.size + 1, -1)
+    # divide by the step actually taken, which rounding may have changed
+    return vals[0], ((vals[1:] - vals[0]) / (pts[1:].diagonal() - x)[:, None]).T
 
-    Each iteration takes its value and gradient from one call of the
-    vectorized objective on n+1 points (see ``_value_and_gradient``), so one
-    basis evaluation serves them all, and every point evaluated lies in the
-    box.
+
+def slsqp(program: ScalarProgram, x0) -> SolveResult:
+    """Local solve from x0 by SLSQP (Kraft 1988) with the constraints exact.
+
+    The variables are x in the region's bounding box, the equality
+    residuals of ``program.score`` are equality constraints, and a ball
+    adds ||x||^2 <= radius^2. A program with ``goals`` (gap, w) is solved
+    in deviation form: variables (x, d+, d-), objective w.(d+ + d-),
+    constraints gap(x) = d+ - d- and d+, d- >= 0, with d+ and d- started at
+    the parts of gap(x0). All values and derivatives at a point come from
+    one (n+1)-point batch (``_value_and_jacobian``). Without equality
+    constraints the result is never worse than the clipped start.
     """
     from scipy.optimize import minimize  # imported on first use: scipy loads slowly
 
     region = program.region
-    if region.kind != "hypercube":
-        raise ValueError("lbfgsb needs a hypercube region")
     lo, hi = region.bounding_box()
     x0 = region.clip(np.asarray(x0, dtype=float))
-    fn = objective if objective is not None else program.objective
-    evaluations = 0
-    best = None  # (f, x) of the lowest base point evaluated; x0 comes first
+    n = x0.size
+    if program.goals is None:
+        def batch(pts):
+            f, residuals = program.score(pts)
+            return np.column_stack([f, *residuals])
+    else:
+        batch, w = program.goals
+    evaluations, last = 0, [None, None]  # the last x evaluated, its values and Jacobian
 
-    def value_and_gradient(x):
-        nonlocal evaluations, best
-        x = np.clip(x, lo, hi)
-        f, grad = _value_and_gradient(fn, x, hi)
-        evaluations += x.size + 1
-        if best is None or f < best[0]:
-            best = (f, x)
-        return f, grad
+    def at(v):
+        nonlocal evaluations
+        x = np.clip(v[:n], lo, hi)  # SLSQP may pass a bound by an ulp or two
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[:] = x, _value_and_jacobian(batch, x, hi)
+            evaluations += n + 1
+        return last[1]
 
-    minimize(value_and_gradient, x0, jac=True, method="L-BFGS-B",
-             bounds=list(zip(lo, hi)), options={"ftol": tol, "gtol": tol})
-    f_best, x_best = best
-    return SolveResult(
-        x_star=x_best,
-        f_star=f_best,
-        constraint_residuals=_residuals_at(program, x_best),
-        evaluations=evaluations,
-        converged=True,
-    )
+    def f_at(x):
+        values = at(x)[0]
+        return float(values[0] if program.goals is None else np.abs(values) @ w)
 
-
-def _value_and_gradient(fn, x: np.ndarray, upper: np.ndarray):
-    """f(x) and its forward-difference gradient from one call of fn on an
-    (n+1, n) batch: x, then x plus a step of sqrt(eps) * max(1, |x_i|) along
-    each axis, taken backward where the forward step would pass ``upper``."""
-    step = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-    step = np.where(x + step > upper, -step, step)
-    pts = np.vstack([x, x + np.diag(step)])
-    vals = np.asarray(fn(pts), dtype=float)
-    # divide by the step actually taken, which rounding may have changed
-    return float(vals[0]), (vals[1:] - vals[0]) / (pts[1:].diagonal() - x)
-
-
-def _polish(program: ScalarProgram, x0, tol: float,
-            objective=None) -> SolveResult:
-    """Local polish from x0: L-BFGS-B for a smooth program on a box,
-    Nelder-Mead for everything else.
-
-    A ball keeps Nelder-Mead: projecting each point onto the ball makes the
-    objective flat outside it, so a gradient method stalls there (on
-    p-model-epsilon over a radius-1.2 ball it ended with residual 8e-2),
-    while SLSQP with the ball as an inequality was slower than the simplex
-    on the ill-conditioned penalized objective.
-    """
-    if program.smooth and program.region.kind == "hypercube":
-        return lbfgsb(program, x0, tol=tol, objective=objective)
-    return nelder_mead(program, x0, tol=tol, objective=objective)
+    f0, bounds = f_at(x0), list(zip(lo, hi))
+    # each jac returns a fresh array: SLSQP writes into the gradient it is given
+    if program.goals is None:
+        v0, constraints = x0, []
+        fun, jac = (lambda v: at(v)[0][0]), (lambda v: at(v)[1][0].copy())
+        if program.eq_constraints:
+            constraints.append({"type": "eq", "fun": lambda v: at(v)[0][1:],
+                                "jac": lambda v: at(v)[1][1:]})
+    else:
+        r, gap0, eye = w.size, at(x0)[0], np.eye(w.size)
+        v0 = np.concatenate([x0, np.maximum(gap0, 0.0), np.maximum(-gap0, 0.0)])
+        bounds += [(0.0, None)] * (2 * r)
+        fun = lambda v: w @ (v[n:n + r] + v[n + r:])
+        jac = lambda v: np.concatenate([np.zeros(n), w, w])
+        constraints = [{"type": "eq", "fun": lambda v: at(v)[0] - v[n:n + r] + v[n + r:],
+                        "jac": lambda v: np.hstack([at(v)[1], -eye, eye])}]
+    if region.kind == "hypersphere":
+        constraints.append({"type": "ineq", "fun": lambda v: region.radius**2 - v[:n] @ v[:n],
+                            "jac": lambda v: np.concatenate([-2.0 * v[:n], 0.0 * v[n:]])})
+    res = minimize(fun, v0, jac=jac, method="SLSQP", bounds=bounds,
+                   constraints=constraints, options={"ftol": 1e-10})
+    x = region.clip(np.clip(res.x[:n], lo, hi))
+    f = f_at(x)
+    if not program.eq_constraints and f0 < f:
+        x, f = x0, f0
+    residuals = _residuals_at(program, x)
+    converged = residuals.size == 0 or np.max(residuals) < FEASIBILITY_TOL
+    return SolveResult(x_star=x, f_star=f, constraint_residuals=residuals,
+                       evaluations=evaluations, converged=bool(converged))
 
 
 def penalty_solve(program: ScalarProgram, x0) -> SolveResult:
-    """Quadratic-penalty sequence for equality constraints from x0; each
-    stage polishes the penalized objective with ``_polish``, starting where
-    the previous stage ended."""
+    """``slsqp`` for a program with equality constraints; no penalty is left.
+
+    ``multistart`` calls this binding because ``bench/test_bench.py::
+    test_instrumented_records_layers_and_restores_bindings`` counts its
+    ``solve.penalty_solve`` spans; the name is kept for that test until
+    the benchmark change of ROADMAP item 1 renames it."""
     if not program.eq_constraints:
         raise ValueError("penalty_solve requires equality constraints")
-    x = np.asarray(x0, dtype=float)
-    evaluations = 0
-    previous = None  # largest residual after the previous stage
-    for mu in DEFAULT_PENALTY_SCHEDULE:
-        step = _polish(program, x, 1e-12, objective=_penalized(program, mu))
-        x, residuals = step.x_star, step.constraint_residuals
-        evaluations += step.evaluations
-        worst = float(np.max(residuals))
-        if (previous is not None and min(previous, worst) > 1e-2
-                and abs(worst - previous) < 1e-4):
-            break  # stagnating infeasible
-        previous = worst
-    return SolveResult(
-        x_star=x,
-        f_star=float(program.objective(x)),
-        constraint_residuals=residuals,
-        evaluations=evaluations,
-        converged=bool(np.max(residuals) < FEASIBILITY_TOL),
-    )
+    return slsqp(program, x0)
 
 
 def _start_points(program: ScalarProgram, k: int, seed: int) -> np.ndarray:
@@ -339,7 +331,9 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
     def local(x0) -> SolveResult:
         if program.eq_constraints:
             return penalty_solve(program, x0)
-        return _polish(program, x0, tol=1e-10)
+        if program.smooth or program.goals is not None:
+            return slsqp(program, x0)
+        return nelder_mead(program, x0)
 
     best = local(coarse.x_star)
     evaluations = coarse.evaluations + best.evaluations
@@ -352,12 +346,15 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
 
 
 def _better(a: SolveResult, b: SolveResult) -> bool:
-    """Feasible-and-lower-f wins; ties break lexicographically on x."""
+    """Feasible wins, then lower f. f values within F_TIE of each other
+    tie, and a tie goes to the smaller largest residual, then the lower f,
+    then the lexicographically smaller x."""
     if a.converged != b.converged:
         return a.converged
-    if abs(a.f_star - b.f_star) > 1e-12:
+    if abs(a.f_star - b.f_star) > F_TIE * max(1.0, abs(b.f_star)):
         return a.f_star < b.f_star
-    return tuple(a.x_star) < tuple(b.x_star)
+    ra, rb = (float(np.max(r.constraint_residuals, initial=0.0)) for r in (a, b))
+    return (ra, a.f_star, tuple(a.x_star)) < (rb, b.f_star, tuple(b.x_star))
 
 
 def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:

@@ -253,6 +253,40 @@ class TestCommands:
         assert row["F"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.fixture()
+def unreachable_config(small_config):
+    """modified-e-epsilon on the radius-1.2 ball, where no point meets its
+    targets (103, 73)."""
+    doc = json.loads(small_config.read_text())
+    doc["region"] = {"kind": "hypersphere", "radius": 1.2, "dim": 3}
+    doc["methods"] = [{"name": "modified-e-epsilon", "tau": [103, 73],
+                       "variance_scale": 32}]
+    small_config.write_text(json.dumps(doc))
+    return small_config
+
+
+def test_optimize_with_unreachable_targets_exits_3(unreachable_config, tmp_path, capsys):
+    out = tmp_path / "row.json"
+    rc = main(["optimize", "--config", str(unreachable_config),
+               "--method", "modified-e-epsilon", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failed: max residual ")
+    row = json.loads(out.read_text())
+    assert row["converged"] is False
+    assert max(row["residuals"]) > 1e-3
+
+
+def test_report_with_unreachable_targets_exits_3(unreachable_config, tmp_path):
+    out = tmp_path / "report.json"
+    rc = main(["report", "--config", str(unreachable_config),
+               "--format", "json", "--out", str(out)])
+    assert rc == 3
+    report = json.loads(out.read_text())
+    assert report["failed"] is True
+    assert report["rows"][0]["converged"] is False
+
+
 def run_config_path():
     from conftest import CONFIG_PATH
 

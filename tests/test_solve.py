@@ -11,6 +11,7 @@ from rsmopt.programs import (
     MethodConfig,
     ScalarProgram,
     kataoka_epsilon,
+    mean_weighting,
     modified_e_epsilon,
     modified_e_weighting,
     p_model_weighting,
@@ -18,16 +19,19 @@ from rsmopt.programs import (
 )
 from rsmopt import solve
 from rsmopt.solve import (
+    FEASIBILITY_TOL,
     GRID_CHUNK,
+    SolveResult,
+    _better,
     _grid_chunks,
     _region_grid,
-    _value_and_gradient,
+    _value_and_jacobian,
     grid_search,
-    lbfgsb,
     multistart,
     nelder_mead,
     pareto_front,
     penalty_solve,
+    slsqp,
 )
 
 
@@ -176,7 +180,7 @@ class TestNelderMead:
         assert prog.region.contains(res.x_star, atol=1e-9)
 
 
-class TestLbfgsb:
+class TestSlsqp:
     def test_objective_sees_only_points_in_the_box(self, example_model):
         seen = []
         base = v_model(example_model).objective
@@ -188,7 +192,7 @@ class TestLbfgsb:
         )
         # the start is clipped onto the upper face in x2, where every
         # difference step in x2 has to go backward
-        res = lbfgsb(prog, np.array([0.9, 0.7, -0.9]))
+        res = slsqp(prog, np.array([0.9, 0.7, -0.9]))
         rows = np.concatenate([np.atleast_2d(x) for x in seen])
         assert len(seen) > 2 and rows.shape[1] == 3
         assert all(prog.region.contains(x) for x in rows)
@@ -201,7 +205,7 @@ class TestLbfgsb:
         )
         for x0 in ([0.9, -0.9, 0.9], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]):
             x0 = np.array(x0)
-            res = lbfgsb(prog, x0)
+            res = slsqp(prog, x0)
             assert res.converged
             assert res.f_star <= float(prog.objective(x0))
             assert res.f_star == pytest.approx(float(prog.objective(res.x_star)), rel=1e-14)
@@ -214,13 +218,13 @@ class TestLbfgsb:
             descriptor="kink at x0",
             smooth=True,
         )
-        res = lbfgsb(kinked, np.array([0.3, 0.0]))
+        res = slsqp(kinked, np.array([0.3, 0.0]))
         assert res.f_star == 0.0
         assert res.x_star.tolist() == [0.3, 0.0]
 
     def test_v_model_origin(self, example_model):
         prog = v_model(example_model, MethodConfig(variance_scale=32))
-        res = lbfgsb(prog, np.array([0.5, -0.5, 0.9]))
+        res = slsqp(prog, np.array([0.5, -0.5, 0.9]))
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-5)
         assert res.f_star == pytest.approx(1.0, abs=1e-9)
 
@@ -230,14 +234,37 @@ class TestLbfgsb:
             MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
         )
         warm = grid_search(prog, 0.1)
-        res = lbfgsb(prog, warm.x_star)
-        assert res.f_star == pytest.approx(39.588, abs=0.02)
+        res = slsqp(prog, warm.x_star)
+        assert res.f_star == pytest.approx(39.5895, abs=1e-4)
         assert res.f_star <= nelder_mead(prog, warm.x_star).f_star + 1e-9
 
-    def test_ball_is_rejected(self, example_model):
-        prog = v_model(example_model, region=Region.hypersphere(1.0, dim=3))
-        with pytest.raises(ValueError, match="hypercube"):
-            lbfgsb(prog, np.zeros(3))
+    def test_ball_is_an_inequality(self, example_model):
+        # the weighted mean falls toward the corner (1, -1, 1), outside the
+        # ball, so the optimum lies on the sphere
+        prog = mean_weighting(example_model, MethodConfig(w=WEIGHTS),
+                              region=Region.hypersphere(1.2, dim=3))
+        res = slsqp(prog, np.zeros(3))
+        assert float(np.linalg.norm(res.x_star)) == pytest.approx(1.2, abs=1e-9)
+        assert prog.region.contains(res.x_star, atol=1e-12)
+        assert res.f_star <= grid_search(prog, 0.05).f_star
+
+    def test_shares_one_batch_per_point(self, example_model):
+        prog = kataoka_epsilon(
+            example_model, MethodConfig(tau=TAU, primary_index=2, confidence=0.95)
+        )
+        batches = []
+
+        def score(x):
+            batches.append(np.array(x))
+            return prog.score(x)
+
+        res = slsqp(dataclasses.replace(prog, score=score), np.array([0.2, -0.3, 0.4]))
+        assert all(b.shape == (4, 3) for b in batches)
+        assert res.evaluations == 4 * len(batches)
+        # SLSQP asks for the objective, the constraints and both
+        # derivatives at each point; the memo answers all but the first
+        bases = [b[0].tolist() for b in batches]
+        assert all(a != b for a, b in zip(bases, bases[1:]))
 
 
 class TestBatchedGradient:
@@ -251,12 +278,14 @@ class TestBatchedGradient:
     def grad(self, x):
         return 2 * self.c * (x - self.a) + np.array([x[1], x[0], 0.0])
 
-    @pytest.mark.parametrize("x", [
+    points = pytest.mark.parametrize("x", [
         [0.3, -0.2, 0.1],
         [1.0, 1.0, 1.0],     # every forward step would leave the box
         [-1.0, 0.999999999, 1.0],
         [2.5, -3.0, 0.0],    # steps scale with |x_i|
     ])
+
+    @points
     def test_matches_closed_form(self, x):
         x = np.array(x)
         upper = np.maximum(x, 1.0)
@@ -266,58 +295,105 @@ class TestBatchedGradient:
             calls.append(pts)
             return self.f(pts)
 
-        f, g = _value_and_gradient(fn, x, upper)
+        (f,), (g,) = _value_and_jacobian(fn, x, upper)
         assert len(calls) == 1 and calls[0].shape == (4, 3)
         assert np.all(calls[0] <= upper)
         assert f == pytest.approx(self.f(x), rel=1e-14)
         assert g == pytest.approx(self.grad(x), abs=1e-6)
 
+    @points
+    def test_residual_jacobian(self, x):
+        # residuals x0 x2 - 1 and x1^2 next to f, as a (batch, 3) array
+        x = np.array(x)
+        upper = np.maximum(x, 1.0)
+
+        def fn(pts):
+            return np.column_stack([self.f(pts), pts[:, 0] * pts[:, 2] - 1, pts[:, 1] ** 2])
+
+        values, jac = _value_and_jacobian(fn, x, upper)
+        assert values == pytest.approx([self.f(x), x[0] * x[2] - 1, x[1] ** 2], rel=1e-14)
+        assert jac.shape == (3, 3)
+        assert jac[0] == pytest.approx(self.grad(x), abs=1e-6)
+        assert jac[1] == pytest.approx([x[2], 0.0, x[0]], abs=1e-6)
+        assert jac[2] == pytest.approx([0.0, 2 * x[1], 0.0], abs=1e-6)
+
+
+def first_order_gap(prog, x, h=1e-6):
+    """Norm of the part of grad f at x outside the span of the constraint
+    gradients and the active bound normals, over |grad f|, and whether
+    every bound multiplier has the sign a minimum needs; all derivatives
+    by central differences."""
+    lo, hi = prog.region.bounding_box()
+    eye = np.eye(x.size)
+
+    def grad(fn):
+        out = []
+        for e in eye:  # one-sided where x sits on a bound
+            up, down = np.clip(x + h * e, lo, hi), np.clip(x - h * e, lo, hi)
+            out.append((float(fn(up)) - float(fn(down))) / ((up - down) @ e))
+        return np.array(out)
+
+    g = grad(prog.objective)
+    at_lo, at_hi = np.isclose(x, lo, atol=1e-9), np.isclose(x, hi, atol=1e-9)
+    basis = [grad(c) for c in prog.eq_constraints] + list(eye[at_lo | at_hi])
+    coef, *_ = np.linalg.lstsq(np.array(basis).T, g, rcond=None)
+    gap = np.linalg.norm(g - np.array(basis).T @ coef) / np.linalg.norm(g)
+    # grad f = sum lambda_j grad g_j + mu_i e_i: mu >= 0 on a lower bound,
+    # <= 0 on an upper one
+    mu = coef[len(prog.eq_constraints):]
+    signs = np.where(at_lo[at_lo | at_hi], mu >= -1e-6, mu <= 1e-6)
+    return gap, bool(np.all(signs))
+
 
 class TestPolishDispatch:
     @staticmethod
-    def refuse_lbfgsb(monkeypatch):
+    def refuse(monkeypatch, name):
         def refuse(*args, **kwargs):
-            raise AssertionError("lbfgsb called")
+            raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(solve, "lbfgsb", refuse)
+        monkeypatch.setattr(solve, name, refuse)
 
     def test_smooth_flags(self, run_config, example_model):
         for spec in run_config.methods:
             prog = build_program(example_model, spec, run_config.region)
             assert prog.smooth == (spec.name != "goal-programming")
+            assert (prog.goals is not None) == (spec.name == "goal-programming")
         assert not constant_program().smooth
 
-    def test_goal_programming_keeps_nelder_mead(self, run_config, example_model,
-                                                monkeypatch):
-        self.refuse_lbfgsb(monkeypatch)
-        spec = next(m for m in run_config.methods if m.name == "goal-programming")
-        prog = build_program(example_model, spec, run_config.region)
-        res = multistart(prog, k=run_config.solver.multistart_k,
-                         seed=run_config.solver.seed)
-        assert res.evaluations == 15_377
+    @pytest.mark.parametrize("region", [None, Region.hypersphere(1.2, dim=3)],
+                             ids=["box", "ball"])
+    def test_built_in_methods_never_reach_nelder_mead(self, run_config, example_model,
+                                                      monkeypatch, region):
+        self.refuse(monkeypatch, "nelder_mead")
+        for spec in run_config.methods:
+            prog = build_program(example_model, spec, region or run_config.region)
+            res = multistart(prog, k=2, seed=0)
+            assert prog.region.contains(res.x_star, atol=1e-12)
 
-    def test_ball_keeps_nelder_mead(self, run_config, example_model, monkeypatch):
-        self.refuse_lbfgsb(monkeypatch)
-        spec = next(m for m in run_config.methods if m.name == "p-model-epsilon")
-        prog = build_program(example_model, spec, Region.hypersphere(1.2, dim=3))
-        assert prog.smooth
-        res = multistart(prog, k=4, seed=0)
-        assert res.converged
-        assert np.max(res.constraint_residuals) < 1e-4
-        assert prog.region.contains(res.x_star, atol=1e-12)
+    def test_hand_built_nonsmooth_program_runs_nelder_mead(self, example_model,
+                                                           monkeypatch):
+        self.refuse(monkeypatch, "slsqp")
+        calls = []
+        real = solve.nelder_mead
+        monkeypatch.setattr(solve, "nelder_mead",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        prog = ScalarProgram(objective=v_model(example_model).objective,
+                             region=Region.unit_cube(3), descriptor="hand-built")
+        res = multistart(prog, k=2, seed=0)
+        assert len(calls) == 3  # the coarse-grid incumbent and two starts
+        assert res.x_star == pytest.approx([0, 0, 0], abs=1e-4)
 
     @pytest.mark.parametrize("name", ["modified-e-epsilon", "p-model-epsilon",
                                       "kataoka-epsilon"])
-    def test_penalty_stages_agree_with_nelder_mead(self, run_config, example_model,
-                                                   name):
+    def test_exact_solve_meets_first_order_conditions(self, run_config, example_model,
+                                                      name):
         spec = next(m for m in run_config.methods if m.name == name)
         prog = build_program(example_model, spec, run_config.region)
-        fast = multistart(prog, k=4, seed=0)
-        simplex = multistart(dataclasses.replace(prog, smooth=False), k=4, seed=0)
-        assert fast.converged and simplex.converged
-        assert fast.f_star == pytest.approx(simplex.f_star, abs=1e-6)
-        assert fast.x_star == pytest.approx(simplex.x_star, abs=1e-3)
-        assert fast.evaluations < simplex.evaluations
+        res = multistart(prog, k=4, seed=0)
+        assert res.converged
+        assert np.max(res.constraint_residuals) <= 1e-9
+        gap, signs = first_order_gap(prog, res.x_star)
+        assert gap < 1e-5 and signs
 
 
 class TestPenaltySolve:
@@ -348,25 +424,6 @@ class TestPenaltySolve:
         assert res.converged
         assert np.max(res.constraint_residuals) < 1e-6
 
-    def test_residuals_non_increasing(self, example_model, monkeypatch):
-        prog = modified_e_epsilon(
-            example_model, MethodConfig(tau=TAU, variance_scale=32)
-        )
-        real = solve._polish
-        stages = []
-
-        def recording(*args, **kwargs):
-            step = real(*args, **kwargs)
-            stages.append(np.max(solve._residuals_at(prog, step.x_star)))
-            return step
-
-        monkeypatch.setattr(solve, "_polish", recording)
-        res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
-        assert len(stages) == len(solve.DEFAULT_PENALTY_SCHEDULE)
-        for earlier, later in zip(stages, stages[1:]):
-            assert later <= earlier + 1e-6
-        assert stages[-1] == np.max(res.constraint_residuals)
-
     def test_infeasible_targets_flagged(self, example_model):
         prog = modified_e_epsilon(
             example_model, MethodConfig(tau=[200.0, 0.0], variance_scale=32)
@@ -376,22 +433,39 @@ class TestPenaltySolve:
         assert np.max(res.constraint_residuals) > 1e-2
 
 
-    def test_stagnating_infeasible_sequence_stops(self, example_model, monkeypatch):
-        prog = modified_e_epsilon(
-            example_model, MethodConfig(tau=[200.0, 0.0], variance_scale=32)
-        )
-        real = solve._polish
-        stages = []
+class TestBall:
+    """The configured methods on a ball of radius 1.2, as ``rsmopt report``
+    runs them there."""
 
-        def recording(*args, **kwargs):
-            stages.append(args[1])
-            return real(*args, **kwargs)
+    @pytest.fixture(scope="class")
+    def ball_solution(self, run_config, example_model):
+        def solve_on_ball(name):
+            spec = next(m for m in run_config.methods if m.name == name)
+            prog = build_program(example_model, spec, Region.hypersphere(1.2, dim=3))
+            return multistart(prog, k=run_config.solver.multistart_k,
+                              seed=run_config.solver.seed)
 
-        monkeypatch.setattr(solve, "_polish", recording)
-        res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
-        # two stages with the same residual above 1e-2: no third stage
-        assert len(stages) == 2
+        return solve_on_ball
+
+    @pytest.mark.parametrize("name, f_star", [("p-model-epsilon", 5.77866),
+                                              ("kataoka-epsilon", 67.20254)])
+    def test_epsilon_methods_are_exact(self, ball_solution, name, f_star):
+        res = ball_solution(name)
+        assert res.converged
+        assert np.max(res.constraint_residuals) <= 1e-9
+        assert float(np.linalg.norm(res.x_star)) <= 1.2 + 1e-9
+        assert res.f_star == pytest.approx(f_star, abs=1e-4)
+
+    def test_goal_programming(self, ball_solution):
+        res = ball_solution("goal-programming")
+        assert float(np.linalg.norm(res.x_star)) <= 1.2 + 1e-9
+        assert res.f_star <= 0.0631706 + 1e-9
+
+    def test_unreachable_targets_are_not_converged(self, ball_solution):
+        res = ball_solution("modified-e-epsilon")
         assert not res.converged
+        assert np.max(res.constraint_residuals) > FEASIBILITY_TOL
+
 
 class TestMultistart:
     def test_dominates_oracle_unconstrained(self, example_model):
@@ -415,6 +489,19 @@ class TestMultistart:
         oracle = grid_search(prog, 0.1)
         res = multistart(prog, k=1, seed=0)
         assert res.f_star <= oracle.f_star + 1e-12
+
+    def test_close_f_values_tie_and_the_more_feasible_start_wins(self):
+        def result(f, residual, x=0.0):
+            return SolveResult(x_star=np.array([x]), f_star=f,
+                               constraint_residuals=np.array([residual]),
+                               evaluations=1, converged=True)
+
+        exact, bought = result(67.20254029066, 3e-14), result(67.20254027982, 1e-8)
+        assert _better(exact, bought) and not _better(bought, exact)
+        lower = result(67.2024, 1e-8)
+        assert _better(lower, exact)
+        assert _better(result(1.0, 0.0, x=-1.0), result(1.0, 0.0, x=1.0))
+        assert not _better(dataclasses.replace(exact, converged=False), bought)
 
     def test_result_in_region(self, example_model):
         prog = modified_e_epsilon(
