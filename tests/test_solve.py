@@ -395,6 +395,33 @@ class TestPolishDispatch:
         gap, signs = first_order_gap(prog, res.x_star)
         assert gap < 1e-5 and signs
 
+    @pytest.mark.parametrize("name", ["modified-e-epsilon", "p-model-epsilon",
+                                      "kataoka-epsilon"])
+    def test_penalty_stages_agree_with_nelder_mead(self, run_config, example_model,
+                                                   name):
+        # an independent check of the exact solve: Nelder-Mead on the
+        # quadratic-penalty objective f + mu * sum(g^2), each stage warm
+        # started from the last; the penalty minimum undercuts the
+        # constrained one by O(1 / mu), about 7e-7 in F at mu = 1e7
+        spec = next(m for m in run_config.methods if m.name == name)
+        prog = build_program(example_model, spec, run_config.region)
+        x0 = grid_search(prog, 0.1).x_star
+        exact = penalty_solve(prog, x0)
+        x, evaluations = x0, 0
+        for mu in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
+            stage = nelder_mead(ScalarProgram(objective=solve._penalized(prog, mu),
+                                              region=prog.region,
+                                              descriptor=f"{name} at mu={mu:g}",
+                                              smooth=False), x)
+            x, evaluations = stage.x_star, evaluations + stage.evaluations
+        simplex_f = float(prog.objective(x))
+        assert exact.converged
+        assert exact.f_star == pytest.approx(simplex_f, abs=1e-6)
+        assert simplex_f <= exact.f_star + 1e-9
+        assert exact.x_star == pytest.approx(x, abs=1e-3)
+        assert np.max(exact.constraint_residuals) < np.max(solve._residuals_at(prog, x))
+        assert exact.evaluations < evaluations
+
 
 class TestPenaltySolve:
     def test_requires_constraints(self, example_model):
@@ -431,6 +458,38 @@ class TestPenaltySolve:
         res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
         assert not res.converged
         assert np.max(res.constraint_residuals) > 1e-2
+
+    def test_residuals_non_increasing(self, example_model):
+        # start -> solve -> solve again from the result: the largest
+        # residual never grows along the sequence, reachable targets or not
+        for tau in (TAU, [200.0, 0.0]):
+            prog = modified_e_epsilon(example_model,
+                                      MethodConfig(tau=tau, variance_scale=32))
+            for x0 in [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 4, 0)]:
+                x = prog.region.clip(x0)
+                residuals = [np.max(solve._residuals_at(prog, x))]
+                for _ in range(2):
+                    x = penalty_solve(prog, x).x_star
+                    residuals.append(np.max(solve._residuals_at(prog, x)))
+                for earlier, later in zip(residuals, residuals[1:]):
+                    assert later <= earlier + 1e-9 * max(1.0, earlier)
+
+    def test_stagnating_infeasible_sequence_stops(self, example_model):
+        prog = modified_e_epsilon(
+            example_model, MethodConfig(tau=[200.0, 0.0], variance_scale=32)
+        )
+        batches = []
+        recording = dataclasses.replace(
+            prog, score=lambda x: batches.append(np.shape(x)) or prog.score(x))
+        x0 = grid_search(prog, 0.1).x_star
+        res = penalty_solve(recording, x0)
+        # SLSQP ends at its limit of 100 iterations, each scoring its point
+        # and a few line-search points, one (n + 1)-point batch apiece
+        assert not res.converged
+        assert batches and all(shape == (4, 3) for shape in batches)
+        assert res.evaluations == 4 * len(batches) < 10_000
+        r0 = np.max(solve._residuals_at(prog, x0))
+        assert np.max(res.constraint_residuals) <= r0 + 1e-9 * r0
 
 
 class TestBall:
