@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    rsmopt fit      --config cfg.json [--data file.csv] [--wide] --out model.json
+    rsmopt fit      --config cfg.json [--out model.json]
     rsmopt eval     --model model.json --x 1,1,-1
     rsmopt optimize --config cfg.json --method kataoka-epsilon [--seed N]
     rsmopt report   --config cfg.json [--format json|md] [--out path]
@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -193,18 +193,14 @@ class RunConfig:
     responses: list[str] | None = None
     wide: bool = False
     solver: SolverSettings = field(default_factory=SolverSettings)
-    output_format: str = "markdown"
 
 
 # Accepted config keys, per level; load_config rejects any other key.
 CONFIG_KEYS = {"data", "wide", "responses", "terms", "region", "solver",
-               "methods", "fixed_points", "format"}
+               "methods", "fixed_points"}
 REGION_KEYS = {"kind", "lower", "upper", "radius", "dim"}
 SOLVER_KEYS = {"seed", "multistart"}
-# method key -> MethodConfig field
-METHOD_KEYS = {"tau": "tau", "w": "w", "confidence": "confidence", "r1": "r1",
-               "r2": "r2", "variance_scale": "variance_scale",
-               "primary": "primary_index", "epsilon": "epsilon"}
+METHOD_KEYS = {f.name for f in fields(MethodConfig)}
 FIXED_POINT_KEYS = {"label", "x"}
 
 
@@ -222,21 +218,6 @@ def _integer(value, least: int, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise DataError(f"{where} must be an integer >= {least}, got {value!r}")
     return value
-
-
-def _check_methods(methods: list[MethodSpec], r: int) -> None:
-    """DataError unless every tau, w and epsilon has one entry per response
-    and every primary names one of the r responses."""
-    for spec in methods:
-        cfg = spec.config
-        for key in ("tau", "w", "epsilon"):
-            v = getattr(cfg, key)
-            if v is not None and v.shape != (r,):
-                raise DataError(f"method {spec.name!r}: {key} must have one entry "
-                                f"per response ({r}), got {v.tolist()}")
-        if cfg.primary_index is not None and cfg.primary_index > r:
-            raise DataError(f"method {spec.name!r}: primary must be a response "
-                            f"number in 1..{r}, got {cfg.primary_index}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -259,14 +240,15 @@ def load_config(path: str | Path) -> RunConfig:
             if name not in METHOD_CONSTRUCTORS:
                 raise ValueError(f"unknown method {name!r}")
             _check_keys(m, {"name", *METHOD_KEYS}, f"method {name!r}")
-            kwargs = {attr: m[key] for key, attr in METHOD_KEYS.items() if key in m}
-            if "primary" in m:
-                _integer(m["primary"], 1, f"method {name!r} primary")
+            kwargs = {key: m[key] for key in METHOD_KEYS if key in m}
             methods.append(MethodSpec(name=name, config=MethodConfig(**kwargs)))
         fixed = []
         for fp in doc.get("fixed_points", []):
             _check_keys(fp, FIXED_POINT_KEYS, "fixed point")
             x = np.asarray(fp["x"], dtype=float)
+            if x.shape != (terms.n,):
+                raise DataError(f"fixed point {fp['label']!r} has {x.size} "
+                                f"coordinates, expected {terms.n}")
             if not np.all(np.isfinite(x)):
                 raise DataError(f"fixed point {fp['label']!r} has a non-finite "
                                 f"coordinate")
@@ -278,6 +260,9 @@ def load_config(path: str | Path) -> RunConfig:
             multistart_k=_integer(solver_doc.get("multistart", 16), 1,
                                   "solver multistart"),
         )
+        wide = doc.get("wide", False)
+        if not isinstance(wide, bool):
+            raise DataError(f"wide must be true or false, got {wide!r}")
         data_path = doc["data"]
         if not Path(data_path).is_absolute():
             # relative to the config file, not the working directory
@@ -289,20 +274,16 @@ def load_config(path: str | Path) -> RunConfig:
             methods=methods,
             fixed_points=fixed,
             responses=doc.get("responses"),
-            wide=bool(doc.get("wide", False)),
+            wide=wide,
             solver=solver,
-            output_format=doc.get("format", "markdown"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad config {path}: {exc}") from exc
 
 
-def _load_data(config: RunConfig, data_path: str | None = None,
-               wide: bool | None = None) -> ExperimentData:
-    path = data_path or config.data_path
-    use_wide = config.wide if wide is None else wide
-    reader = ingest_csv_wide if use_wide else ingest_csv
-    return reader(path, response_order=config.responses)
+def _load_data(config: RunConfig) -> ExperimentData:
+    reader = ingest_csv_wide if config.wide else ingest_csv
+    return reader(config.data_path, response_order=config.responses)
 
 
 def fit_from_config(config: RunConfig, data: ExperimentData) -> FittedModel:
@@ -364,8 +345,12 @@ def load_model(path: str | Path) -> FittedModel:
 # ---------------------------------------------------------------------------
 
 def build_program(model: FittedModel, spec: MethodSpec, region: Region) -> ScalarProgram:
-    ctor = METHOD_CONSTRUCTORS[spec.name]
-    return ctor(model, spec.config, region=region)
+    """The method's program; DataError naming the method if its config does
+    not fit the model."""
+    try:
+        return METHOD_CONSTRUCTORS[spec.name](model, spec.config, region=region)
+    except ValueError as exc:
+        raise DataError(f"method {spec.name!r}: {exc}") from exc
 
 
 def _row_from_x(model: FittedModel, label: str, x: np.ndarray,
@@ -390,9 +375,8 @@ def _row_from_x(model: FittedModel, label: str, x: np.ndarray,
     }
 
 
-def optimize_method(model: FittedModel, spec: MethodSpec, region: Region,
+def optimize_method(model: FittedModel, spec: MethodSpec, program: ScalarProgram,
                     solver: SolverSettings) -> tuple[SolveResult, dict]:
-    program = build_program(model, spec, region)
     result = multistart(program, k=solver.multistart_k, seed=solver.seed)
     row = _row_from_x(
         model, spec.name, result.x_star,
@@ -404,11 +388,14 @@ def optimize_method(model: FittedModel, spec: MethodSpec, region: Region,
 
 
 def build_report(model: FittedModel, config: RunConfig) -> dict:
+    """A row per method, then per fixed point. Every program is built before
+    any solve, so a config error raises DataError; a failed solve is a row."""
+    programs = [build_program(model, spec, config.region) for spec in config.methods]
     rows = []
     failed = False
-    for spec in config.methods:
+    for spec, program in zip(config.methods, programs):
         try:
-            result, row = optimize_method(model, spec, config.region, config.solver)
+            result, row = optimize_method(model, spec, program, config.solver)
             if not result.converged:
                 row["error"] = "did not converge"
                 failed = True
@@ -469,8 +456,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_fit(args) -> int:
     config = load_config(args.config)
-    data = _load_data(config, args.data, args.wide or None)
-    model = fit_from_config(config, data)
+    model = fit_from_config(config, _load_data(config))
     out = args.out or "model.json"
     save_model(model, out)
     print(f"wrote {out} (N={model.n_obs}, p={model.p}, r={model.r})")
@@ -495,10 +481,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
+def _fitted(args) -> tuple[RunConfig, ExperimentData, FittedModel]:
+    """The config named by ``args`` with its ``--seed`` applied, its data,
+    and the model fitted to them."""
     config = load_config(args.config)
     if args.seed is not None:
         config.solver.seed = args.seed
+    data = _load_data(config)
+    return config, data, fit_from_config(config, data)
+
+
+def cmd_optimize(args) -> int:
+    config, _, model = _fitted(args)
     spec = next((m for m in config.methods if m.name == args.method), None)
     if spec is None:
         if args.method not in METHOD_CONSTRUCTORS:
@@ -507,10 +501,8 @@ def cmd_optimize(args) -> int:
         print(f"method {args.method} not configured in {args.config}",
               file=sys.stderr)
         return EXIT_USAGE
-    data = _load_data(config)
-    model = fit_from_config(config, data)
-    _check_methods([spec], model.r)
-    result, row = optimize_method(model, spec, config.region, config.solver)
+    program = build_program(model, spec, config.region)
+    result, row = optimize_method(model, spec, program, config.solver)
     _emit(json.dumps(row, indent=2) + "\n", args.out)
     if not result.converged:
         print(f"solver failed: max residual "
@@ -520,16 +512,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.solver.seed = args.seed
-    if args.format:
-        config.output_format = {"json": "json", "md": "markdown"}[args.format]
-    data = _load_data(config)
-    model = fit_from_config(config, data)
-    _check_methods(config.methods, model.r)
+    config, data, model = _fitted(args)
     report = build_report(model, config)
-    if config.output_format == "json":
+    if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = report_markdown(report, list(data.response_names))
@@ -550,9 +535,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a model from experiment data")
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--data", help="override the config data path")
-    p_fit.add_argument("--wide", action="store_true",
-                       help="data is in wide (replicates-as-columns) layout")
     p_fit.add_argument("--out")
     p_fit.set_defaults(func=cmd_fit)
 

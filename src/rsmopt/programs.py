@@ -53,12 +53,13 @@ class MethodConfig:
     """Knobs shared by the method constructors.
 
     ``confidence`` is the probability level of the Kataoka-style terms
-    (one knob; 0.5 makes the quantile term vanish). ``primary_index`` is
+    (one knob; 0.5 makes the quantile term vanish). ``primary`` is
     1-based and names the response kept as the objective in
     epsilon-constraint programs. ``variance_scale`` multiplies q(x) in
     scalarized objectives; it defaults to 1 and is only ever set
     explicitly (the worked example uses N because q scales as 1/N for an
-    orthogonal design).
+    orthogonal design). Fields are named as the config's method keys; each
+    constructor checks that a config fits its model (see ``_require``).
     """
 
     tau: np.ndarray | None = None
@@ -67,7 +68,7 @@ class MethodConfig:
     r1: float = 0.5
     r2: float = 0.5
     variance_scale: float = 1.0
-    primary_index: int | None = None
+    primary: int | None = None
     epsilon: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -167,17 +168,33 @@ class GoalDeviations:
     d_minus: np.ndarray
 
 
-def _require(cfg: MethodConfig, *names: str) -> None:
+def _require(model: FittedModel, cfg: MethodConfig, *names: str) -> None:
+    """ValueError unless ``names`` are set, each set tau, w and epsilon has
+    one entry per response, and a set primary is in 1..r."""
     for name in names:
         if getattr(cfg, name) is None:
             raise ValueError(f"method requires config field {name!r}")
+    for name in ("tau", "w", "epsilon"):
+        v = getattr(cfg, name)
+        if v is not None and v.shape != (model.r,):
+            raise ValueError(f"{name} must have one entry per response "
+                             f"({model.r}), got {v.tolist()}")
+    k = cfg.primary
+    if k is not None:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"primary must be an integer >= 1, got {k!r}")
+        if k > model.r:
+            raise ValueError(f"primary must be a response number in "
+                             f"1..{model.r}, got {k}")
 
 
 def v_model(model: FittedModel, cfg: MethodConfig | None = None,
             region: Region | None = None) -> ScalarProgram:
     """Minimum-variance program: every matrix criterion of q(x)*Sigma shares
     its argmin with q(x), so the objective is just (scaled) q."""
-    scale = cfg.variance_scale if cfg is not None else 1.0
+    cfg = cfg or MethodConfig()
+    _require(model, cfg)
+    scale = cfg.variance_scale
 
     def fn(m, q):
         return scale * q, ()
@@ -188,7 +205,7 @@ def v_model(model: FittedModel, cfg: MethodConfig | None = None,
 def mean_weighting(model: FittedModel, cfg: MethodConfig,
                    region: Region | None = None) -> ScalarProgram:
     """Weighted sum of predicted means."""
-    _require(cfg, "w")
+    _require(model, cfg, "w")
     w = cfg.w
 
     def fn(m, q):
@@ -200,7 +217,7 @@ def mean_weighting(model: FittedModel, cfg: MethodConfig,
 def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
                          region: Region | None = None) -> ScalarProgram:
     """r1 * (weighted mean) + r2 * (scaled q): mean/dispersion trade-off."""
-    _require(cfg, "w")
+    _require(model, cfg, "w")
     w, r1, r2, scale = cfg.w, cfg.r1, cfg.r2, cfg.variance_scale
 
     def fn(m, q):
@@ -217,7 +234,7 @@ def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
     ``predict`` and q from ``unit_variance``, two basis evaluations per
     batch, because the layered benchmark requires each of its basis calls
     to sit under one of those two spans. ROADMAP item 1 lifts that."""
-    _require(cfg, "tau")
+    _require(model, cfg, "tau")
     tau, scale = cfg.tau, cfg.variance_scale
 
     def fn(m, q):
@@ -250,7 +267,7 @@ def p_model_terms(model: FittedModel, tau, x) -> np.ndarray:
 
 def p_model_weighting(model: FittedModel, cfg: MethodConfig,
                       region: Region | None = None) -> ScalarProgram:
-    _require(cfg, "tau", "w")
+    _require(model, cfg, "tau", "w")
     terms, w = _p_model_fn(model, cfg.tau), cfg.w
 
     def fn(m, q):
@@ -259,12 +276,10 @@ def p_model_weighting(model: FittedModel, cfg: MethodConfig,
     return _program(model, fn, 0, region, "p-model-weighting")
 
 
-def _epsilon_fn(model: FittedModel, terms, targets: np.ndarray, primary_index: int):
+def _epsilon_fn(model: FittedModel, terms, targets: np.ndarray, primary: int):
     """(m, q) -> the primary term as the objective, and every other term
     minus its target as an equality residual."""
-    k_star = primary_index - 1
-    if not 0 <= k_star < model.r:
-        raise ValueError("primary_index out of range")
+    k_star = primary - 1
     others = [k for k in range(model.r) if k != k_star]
 
     def fn(m, q):
@@ -277,8 +292,8 @@ def _epsilon_fn(model: FittedModel, terms, targets: np.ndarray, primary_index: i
 def p_model_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Keep one standardized term as objective; pin the others to epsilon."""
-    _require(cfg, "tau", "primary_index", "epsilon")
-    fn = _epsilon_fn(model, _p_model_fn(model, cfg.tau), cfg.epsilon, cfg.primary_index)
+    _require(model, cfg, "tau", "primary", "epsilon")
+    fn = _epsilon_fn(model, _p_model_fn(model, cfg.tau), cfg.epsilon, cfg.primary)
     return _program(model, fn, model.r - 1, region, "p-model-epsilon")
 
 
@@ -301,7 +316,7 @@ def kataoka_terms(model: FittedModel, cfg: MethodConfig, x) -> np.ndarray:
 
 def kataoka_weighting(model: FittedModel, cfg: MethodConfig,
                       region: Region | None = None) -> ScalarProgram:
-    _require(cfg, "w")
+    _require(model, cfg, "w")
     terms, w = _kataoka_fn(model, cfg), cfg.w
 
     def fn(m, q):
@@ -313,14 +328,14 @@ def kataoka_weighting(model: FittedModel, cfg: MethodConfig,
 def kataoka_epsilon(model: FittedModel, cfg: MethodConfig,
                     region: Region | None = None) -> ScalarProgram:
     """Minimize the primary Kataoka term; pin the others to their targets."""
-    _require(cfg, "tau", "primary_index")
-    fn = _epsilon_fn(model, _kataoka_fn(model, cfg), cfg.tau, cfg.primary_index)
+    _require(model, cfg, "tau", "primary")
+    fn = _epsilon_fn(model, _kataoka_fn(model, cfg), cfg.tau, cfg.primary)
     return _program(model, fn, model.r - 1, region, "kataoka-epsilon")
 
 
 def goal_deviations(model: FittedModel, cfg: MethodConfig, x) -> GoalDeviations:
     """Positive and negative parts of (kataoka term - tau), componentwise."""
-    _require(cfg, "tau")
+    _require(model, cfg, "tau")
     diff = kataoka_terms(model, cfg, x) - cfg.tau
     return GoalDeviations(
         d_plus=np.maximum(diff, 0.0),
@@ -336,7 +351,7 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
     ``smooth=False``; its ``goals`` carry the smooth gap term_k - tau_k and
     the weights, which the local solver uses in the deviation-variable
     form (Charnes & Cooper 1961)."""
-    _require(cfg, "tau", "w")
+    _require(model, cfg, "tau", "w")
     terms, tau, w = _kataoka_fn(model, cfg), cfg.tau, cfg.w
 
     def fn(m, q):

@@ -291,9 +291,10 @@ def slsqp(program: ScalarProgram, x0) -> SolveResult:
                    constraints=constraints, options={"ftol": 1e-10})
     x = region.clip(np.clip(res.x[:n], lo, hi))
     f = f_at(x)
+    # the residuals are the rest of the row f_at just scored; a goal row is gaps
+    residuals = np.abs(at(x)[0][1:]) if program.goals is None else np.zeros(0)
     if not program.eq_constraints and f0 < f:
         x, f = x0, f0
-    residuals = _residuals_at(program, x)
     converged = residuals.size == 0 or np.max(residuals) < FEASIBILITY_TOL
     return SolveResult(x_star=x, f_star=f, constraint_residuals=residuals,
                        evaluations=evaluations, converged=bool(converged))

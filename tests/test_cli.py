@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import LONG_CSV, RAW_RUNS, WIDE_CSV
+from rsmopt import cli
 from rsmopt.cli import (
     DataError,
     build_report,
@@ -316,6 +317,7 @@ def small_config(tmp_path):
 
 @pytest.mark.parametrize("level, key", [
     ("top", "methdos"),
+    ("top", "format"),
     ("region", "radious"),
     ("solver", "multistrat"),
     ("solver", "resolution"),
@@ -437,7 +439,8 @@ def test_hypersphere_dim_not_a_positive_integer_is_data_error(small_config, dim,
 ], ids=["tau long", "tau short", "w long", "epsilon long", "primary 3",
         "primary 0", "primary 1.5", "primary true"])
 def test_method_that_does_not_fit_the_responses_is_data_error(small_config, method,
-                                                               message, capsys):
+                                                               message, capsys,
+                                                               no_solve):
     doc = json.loads(small_config.read_text())
     doc["methods"].append(method)
     small_config.write_text(json.dumps(doc))
@@ -447,6 +450,71 @@ def test_method_that_does_not_fit_the_responses_is_data_error(small_config, meth
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert f"method {method['name']!r}" in err and message in err
+
+
+@pytest.fixture()
+def no_solve(monkeypatch):
+    """Make any solve fail the test: a config error must stop a command
+    before its first ``multistart``."""
+    def multistart(*args, **kwargs):
+        raise AssertionError("multistart called")
+
+    monkeypatch.setattr(cli, "multistart", multistart)
+
+
+@pytest.mark.parametrize("method, field", [
+    ({"name": "kataoka-weighting"}, "w"),
+    ({"name": "modified-e-epsilon", "variance_scale": 32}, "tau"),
+    ({"name": "p-model-epsilon", "tau": [103, 73], "epsilon": [3.9753, 0]}, "primary"),
+    ({"name": "p-model-epsilon", "tau": [103, 73], "primary": 2}, "epsilon"),
+    ({"name": "kataoka-epsilon", "tau": [103, 73]}, "primary"),
+    ({"name": "goal-programming", "tau": [103, 73]}, "w"),
+], ids=["kataoka-weighting w", "modified-e-epsilon tau", "p-model-epsilon primary",
+        "p-model-epsilon epsilon", "kataoka-epsilon primary", "goal-programming w"])
+def test_method_missing_a_field_is_data_error_before_any_solve(small_config, method,
+                                                               field, capsys,
+                                                               no_solve):
+    doc = json.loads(small_config.read_text())
+    doc["methods"].append(method)
+    small_config.write_text(json.dumps(doc))
+    for argv in (["report"], ["optimize", "--method", method["name"]]):
+        assert main(argv + ["--config", str(small_config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"data error: method {method['name']!r}: method requires config "
+            f"field {field!r}"]
+
+
+def test_fixed_point_of_the_wrong_length_is_data_error_naming_it(small_config, capsys,
+                                                                 no_solve):
+    doc = json.loads(small_config.read_text())
+    doc["fixed_points"].append({"label": "short", "x": [1, 1]})
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "fixed point 'short' has 2 coordinates, expected 3" in err
+
+
+@pytest.mark.parametrize("wide", ["false", "true", 1, None])
+def test_wide_must_be_a_boolean(small_config, wide, capsys):
+    doc = json.loads(small_config.read_text())
+    doc["wide"] = wide
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"wide must be true or false, got {wide!r}" in err
+
+
+@pytest.mark.parametrize("option", [["--data", str(WIDE_CSV)], ["--wide"]])
+def test_fit_takes_its_data_only_from_the_config(small_config, tmp_path, option, capsys):
+    argv = ["fit", "--config", str(small_config), "--out", str(tmp_path / "m.json")]
+    assert main(argv + option) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("key, value, least", [
@@ -525,13 +593,15 @@ class TestReport:
     def test_failed_method_keeps_exception_type(self, example_model, small_config,
                                                 tmp_path):
         doc = json.loads(small_config.read_text())
-        doc["methods"] = [{"name": "p-model-epsilon", "tau": [103, 73],
-                           "primary": 5, "epsilon": [0, 0]}]
-        path = tmp_path / "bad.json"
+        # the coarse grid's 0.1 step puts no node inside a 0.05 ball
+        doc["region"] = {"kind": "hypersphere", "radius": 0.05, "dim": 3}
+        doc["methods"] = [{"name": "v-model"}]
+        path = tmp_path / "ball.json"
         path.write_text(json.dumps(doc))
         report = build_report(example_model, load_config(path))
         assert report["failed"]
-        assert report["rows"][0]["error"] == "ValueError: primary_index out of range"
+        assert report["rows"][0]["error"] == (
+            "ValueError: no grid node at resolution 0.1 lies inside the region")
 
     def test_var_cov_recomputed_from_model(self, example_model, small_config):
         config = load_config(small_config)

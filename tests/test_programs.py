@@ -79,6 +79,27 @@ class TestMethodConfig:
         with pytest.raises(ValueError):
             MethodConfig(r1=0.7, r2=0.7)
 
+    @pytest.mark.parametrize("name", sorted(METHOD_CONSTRUCTORS))
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", [103.0], "tau must have one entry per response (2), got [103.0]"),
+        ("tau", [103.0, 73.0, 1.0], "tau must have one entry per response (2)"),
+        ("w", [1.0], "w must have one entry per response (2), got [1.0]"),
+        ("w", [0.2, 0.3, 0.5], "w must have one entry per response (2)"),
+        ("epsilon", [0.5], "epsilon must have one entry per response (2)"),
+        ("epsilon", [0.5, 0.0, 0.0], "epsilon must have one entry per response (2)"),
+        ("primary", 0, "primary must be an integer >= 1, got 0"),
+        ("primary", 3, "primary must be a response number in 1..2, got 3"),
+    ])
+    def test_constructor_rejects_a_config_that_does_not_fit_the_model(
+            self, example_model, name, field, value, message):
+        """Every constructor checks the per-response fields against r; a
+        short tau or w is not broadcast over the responses."""
+        cfg = MethodConfig(tau=TAU, w=WEIGHTS, primary=2, epsilon=[3.9753, 0.0])
+        METHOD_CONSTRUCTORS[name](example_model, cfg)
+        with pytest.raises(ValueError) as info:
+            METHOD_CONSTRUCTORS[name](example_model, dataclasses.replace(cfg, **{field: value}))
+        assert message in str(info.value)
+
 
 class TestVModel:
     def test_scaled_minimum_value(self, example_model):
@@ -172,7 +193,7 @@ class TestPModel:
             )
 
     def test_epsilon_objective_at_reported_point(self, example_model):
-        cfg = MethodConfig(tau=TAU, primary_index=2, epsilon=[3.9753, 0.0])
+        cfg = MethodConfig(tau=TAU, primary=2, epsilon=[3.9753, 0.0])
         prog = p_model_epsilon(example_model, cfg)
         x = np.array([0.910, -0.658, 0.0])
         # independent recomputation: (73 - 67.577) / 0.618
@@ -181,7 +202,7 @@ class TestPModel:
     def test_epsilon_feasible_by_construction(self, example_model):
         x0 = np.array([0.1, 0.2, -0.3])
         eps = p_model_terms(example_model, TAU, x0)
-        cfg = MethodConfig(tau=TAU, primary_index=2, epsilon=eps)
+        cfg = MethodConfig(tau=TAU, primary=2, epsilon=eps)
         prog = p_model_epsilon(example_model, cfg)
         assert all(abs(float(c(x0))) < 1e-12 for c in prog.eq_constraints)
 
@@ -225,7 +246,7 @@ class TestKataoka:
             assert np.all(hi > lo)
 
     def test_epsilon_constraint_residual_at_reported_point(self, example_model):
-        cfg = MethodConfig(tau=TAU, primary_index=2, confidence=0.95)
+        cfg = MethodConfig(tau=TAU, primary=2, confidence=0.95)
         prog = kataoka_epsilon(example_model, cfg)
         x = np.array([0.541, -1.0, 0.851])
         (constraint,) = prog.eq_constraints
@@ -292,7 +313,7 @@ def reference_program(name, model, cfg):
         return scale * np.asarray(unit_variance(model, x))
 
     def epsilon(terms, targets):
-        k_star = cfg.primary_index - 1
+        k_star = cfg.primary - 1
         return (lambda x: terms(x)[..., k_star]), tuple(
             (lambda x, k=k: terms(x)[..., k] - targets[k])
             for k in range(model.r) if k != k_star)
@@ -345,7 +366,7 @@ def quadratic_model_r3() -> FittedModel:
 
 # every field any of the eight methods reads, for the three-response model
 R3_CONFIG = MethodConfig(tau=[1.0, -2.0, 3.0], w=[0.2, 0.3, 0.5], confidence=0.9,
-                         r1=0.3, r2=0.7, variance_scale=11.0, primary_index=2,
+                         r1=0.3, r2=0.7, variance_scale=11.0, primary=2,
                          epsilon=[0.5, 0.0, -0.5])
 R3_MODEL = quadratic_model_r3()
 

@@ -250,7 +250,7 @@ class TestSlsqp:
 
     def test_shares_one_batch_per_point(self, example_model):
         prog = kataoka_epsilon(
-            example_model, MethodConfig(tau=TAU, primary_index=2, confidence=0.95)
+            example_model, MethodConfig(tau=TAU, primary=2, confidence=0.95)
         )
         batches = []
 
@@ -430,7 +430,7 @@ class TestPenaltySolve:
 
     def test_kataoka_epsilon_paper_value(self, example_model):
         prog = kataoka_epsilon(
-            example_model, MethodConfig(tau=TAU, primary_index=2, confidence=0.95)
+            example_model, MethodConfig(tau=TAU, primary=2, confidence=0.95)
         )
         res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
         assert res.converged
