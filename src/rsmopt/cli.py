@@ -241,7 +241,11 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ValueError(f"unknown method {name!r}")
             _check_keys(m, {"name", *METHOD_KEYS}, f"method {name!r}")
             kwargs = {key: m[key] for key in METHOD_KEYS if key in m}
-            methods.append(MethodSpec(name=name, config=MethodConfig(**kwargs)))
+            try:
+                config = MethodConfig(**kwargs)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"method {name!r}: {exc}") from exc
+            methods.append(MethodSpec(name=name, config=config))
         fixed = []
         for fp in doc.get("fixed_points", []):
             _check_keys(fp, FIXED_POINT_KEYS, "fixed point")

@@ -115,17 +115,27 @@ def _quadratic_form(z: np.ndarray, a: np.ndarray):
     return ((z @ a) * z).sum(-1)
 
 
+def _means(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z @ b over the last axis of z. For a 2-D batch from ``evaluate_basis``
+    the product is formed as b' z', so the means come out feature-major
+    like z: a (k, r) view of a C-contiguous (r, k) array, whose columns
+    are contiguous."""
+    if z.ndim == 2:
+        return (b.T @ z.T).T
+    return z @ b
+
+
 def moments(model: FittedModel, x) -> tuple[np.ndarray, np.ndarray]:
     """(m(x), q(x)) from one basis evaluation: the predicted means, shape
-    (..., r), and the unit variance, shape (...)."""
+    (..., r), and the unit variance, shape (...). For a 2-D batch m is the
+    (k, r) transpose of a C-contiguous (r, k) array (see ``_means``)."""
     z = evaluate_basis(x, model.terms)
-    return z @ model.b_hat, _quadratic_form(z, model.xtx_inv)
+    return _means(z, model.b_hat), _quadratic_form(z, model.xtx_inv)
 
 
 def predict(model: FittedModel, x) -> np.ndarray:
     """Predicted response vector z'(x) b_hat; batch-aware over leading axes."""
-    z = evaluate_basis(x, model.terms)
-    return z @ model.b_hat
+    return _means(evaluate_basis(x, model.terms), model.b_hat)
 
 
 def unit_variance(model: FittedModel, x) -> np.ndarray | float:

@@ -246,13 +246,22 @@ def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
     return _program(model, fn, model.r, region, "modified-e-epsilon", read=read)
 
 
+def _std(var_diag: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """s_k = sqrt(q * sigma_kk), shape q.shape + (r,). For a 2-D batch it is
+    laid out like m from ``moments``, the (k, r) transpose of a C-contiguous
+    (r, k) array, so every (k, r) operation on m and s runs along k."""
+    if q.ndim == 1:
+        return np.sqrt(np.multiply.outer(var_diag, q)).T
+    return np.sqrt(np.multiply.outer(q, var_diag))
+
+
 def _p_model_fn(model: FittedModel, tau):
     """(m, q) -> (tau_k - m_k) / s_k, with diag Sigma taken once."""
     tau = np.asarray(tau, dtype=float)
     var_diag = np.diag(model.sigma_hat)
 
     def terms(m, q):
-        s = np.sqrt(np.multiply.outer(q, var_diag))
+        s = _std(var_diag, q)
         if np.any(s <= 0):
             raise ValueError("zero prediction variance")
         return (tau - m) / s
@@ -304,7 +313,7 @@ def _kataoka_fn(model: FittedModel, cfg: MethodConfig):
     var_diag = np.diag(model.sigma_hat)
 
     def terms(m, q):
-        return m + quant * np.sqrt(np.multiply.outer(q, var_diag))
+        return m + quant * _std(var_diag, q)
 
     return terms
 

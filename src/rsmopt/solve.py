@@ -40,7 +40,10 @@ MAX_GRID_NODES = int(2e8)
 # nodes a (chunk, 7) block is 112 KiB and comes from the heap, reused by
 # the next batch. At 65,536 nodes, eight 0.02 grids over the example took
 # about 293,000 minor faults per pass; at 2,048 they take a few dozen, and
-# the pass takes a third of the time (chunk sweep in CHANGES.md).
+# the pass takes a third of the time (chunk sweep in CHANGES.md). A batch's
+# nodes are decoded without a per-node division: its last coordinates are a
+# slice of that axis tiled once per grid, and the others are repeated over
+# the few rows of the last axis it touches (``_grid_chunks``).
 GRID_CHUNK = 2_048
 # Penalty weight the grid oracle applies to squared residuals. Balances
 # two opposing biases at the default 0.01 grid: too large and the
@@ -105,12 +108,11 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
     for pts in _region_grid(program.region, resolution):
         scores = np.asarray(score_fn(pts), dtype=float)
         evaluations += pts.shape[0]
-        nan = np.isnan(scores)
-        if nan.any():
-            raise ValueError(f"{program.descriptor}: objective is NaN at grid node "
-                             f"{pts[int(np.argmax(nan))].tolist()}")
-        idx = int(np.argmin(scores))
+        idx = int(np.argmin(scores))  # the first NaN, if there is one
         s = float(scores[idx])
+        if np.isnan(s):
+            raise ValueError(f"{program.descriptor}: objective is NaN at grid node "
+                             f"{pts[idx].tolist()}")
         if best_x is None or s < best_score - 1e-15:
             best_score, best_x = s, pts[idx].copy()
         elif abs(s - best_score) <= 1e-15:
@@ -160,24 +162,53 @@ def _grid_chunks(axes: list[np.ndarray], chunk: int):
     """Yield grid points in lexicographic order, in blocks of at most
     ``chunk`` rows.
 
-    Each block decodes a range of flat indices with one ``divmod`` per axis
-    and fills the coordinates feature-major, one contiguous row per axis;
-    it is yielded as the (rows, n) transpose of that array, which is what
-    ``evaluate_basis`` reads fastest. The built-in programs give the same
-    bits for any layout; a hand-built objective that reduces along the
-    factor axis (an einsum, say) may round its last bit differently than
-    on a row-major block.
+    The last axis varies fastest, so a block is a run of whole or partial
+    rows of it: its last coordinates are one slice of that axis tiled once
+    per grid, and each other coordinate is decoded once per row the block
+    touches and repeated over that row's nodes. Blocks are not aligned to
+    rows, so a row longer than ``chunk`` (a one-factor grid, say) still
+    comes in blocks of ``chunk``. The coordinates are filled feature-major,
+    one contiguous row per axis, and each block is yielded as the (rows, n)
+    transpose of that array, which is what ``evaluate_basis`` reads
+    fastest; ``moments`` gives m in the same layout. The built-in programs
+    give the same bits for any layout; a hand-built objective that reduces
+    along the factor axis (an einsum, say) may round its last bit
+    differently than on a row-major block.
+
+    A block's means come from one matrix product. With the OpenBLAS
+    kernels numpy ships, that rounds a row the same way in any block of two
+    or more rows, but a block of one row takes the matrix-vector path and
+    can round it differently in the last bit. On a box only the last block
+    can have one row, so ``grid_search`` gives the same x*, f and residuals
+    at the chunk sizes the tests use. On a ball a block is what is left of
+    one inside the ball, one-row blocks do occur, and f can move by an ulp
+    or two with the chunk size: the tests hold x* equal and f to 1e-14
+    relative.
     """
     n = len(axes)
     sizes = [a.size for a in axes]
     total = int(np.prod(sizes))
+    last = sizes[-1]
+    # every block's last coordinates are one slice of this copy; a grid of
+    # one row is its own copy
+    tiled = axes[-1]
+    if total > last:
+        tiled = np.resize(tiled, min(total, last + chunk - 1))
     for start in range(0, total, chunk):
-        rem = np.arange(start, min(start + chunk, total))
-        coords = np.empty((n, rem.size))
-        for i in range(n - 1, 0, -1):
-            rem, idx = np.divmod(rem, sizes[i])
-            axes[i].take(idx, out=coords[i])
-        axes[0].take(rem, out=coords[0])
+        stop = min(start + chunk, total)
+        row, offset = divmod(start, last)
+        coords = np.empty((n, stop - start))
+        coords[-1] = tiled[offset:offset + stop - start]
+        if n > 1:
+            # the rows the block touches, and how many of its nodes lie in each
+            rows = np.arange(row, (stop - 1) // last + 1)
+            edges = rows * last
+            edges[0] = start
+            counts = np.diff(edges, append=stop)
+            for i in range(n - 2, 0, -1):
+                rows, idx = np.divmod(rows, sizes[i])
+                coords[i] = axes[i].take(idx).repeat(counts)
+            coords[0] = axes[0].take(rows).repeat(counts)
         yield coords.T
 
 

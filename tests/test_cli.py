@@ -498,6 +498,29 @@ def test_fixed_point_of_the_wrong_length_is_data_error_naming_it(small_config, c
     assert "fixed point 'short' has 2 coordinates, expected 3" in err
 
 
+@pytest.mark.parametrize("method, message", [
+    ({"name": "kataoka-weighting", "w": [0.5, 0.6]},
+     "weights must be nonnegative and sum to 1"),
+    ({"name": "kataoka-weighting", "w": [0.5, 0.5], "confidence": 1.0},
+     "confidence must lie in (0, 1)"),
+    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": 0.7, "r2": 0.7},
+     "r1, r2 must be nonnegative with r1 + r2 = 1"),
+    ({"name": "v-model", "variance_scale": 0},
+     "variance_scale must be positive"),
+], ids=["w", "confidence", "r1 r2", "variance_scale"])
+def test_bad_method_field_is_data_error_naming_the_method(small_config, method,
+                                                          message, capsys, no_solve):
+    doc = json.loads(small_config.read_text())
+    doc["methods"].append(method)
+    small_config.write_text(json.dumps(doc))
+    for argv in (["report"], ["optimize", "--method", method["name"]]):
+        assert main(argv + ["--config", str(small_config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert f"method {method['name']!r}: {message}" in err
+
+
 @pytest.mark.parametrize("wide", ["false", "true", 1, None])
 def test_wide_must_be_a_boolean(small_config, wide, capsys):
     doc = json.loads(small_config.read_text())

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TAU, WEIGHTS
 from rsmopt.cli import build_program
@@ -43,6 +45,17 @@ def constant_program():
     )
 
 
+@st.composite
+def grid_axes(draw):
+    """1-4 axes of 1-12 distinct nodes each, the last one sometimes longer
+    than the chunk, and a chunk size of 1-60 rows."""
+    chunk = draw(st.integers(1, 60))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        sizes[-1] = draw(st.integers(chunk + 1, 2 * chunk + 12))
+    return [np.arange(size) + 100.0 * i for i, size in enumerate(sizes)], chunk
+
+
 class TestGridSearch:
     def test_v_model_paper_row(self, example_model):
         prog = v_model(example_model, MethodConfig(variance_scale=32))
@@ -74,21 +87,41 @@ class TestGridSearch:
             got = np.concatenate(list(_grid_chunks(axes, chunk)))
             assert np.array_equal(got, want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=grid_axes())
+    def test_chunks_decode_the_meshgrid_order(self, case):
+        axes, chunk = case
+        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        blocks = list(_grid_chunks(axes, chunk))
+        full, rest = divmod(len(want), chunk)
+        assert [len(b) for b in blocks] == [chunk] * full + [rest] * (rest > 0)
+        assert all(b.shape[1] == len(axes) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), want)
+
     def test_results_do_not_depend_on_the_chunk_size(self, example_model, run_config,
                                                       monkeypatch):
-        programs = [build_program(example_model, spec, run_config.region)
-                    for spec in run_config.methods]
-        assert len(programs) == 8
+        """Exact on the box. On the ball a block of one row can round the
+        means in the last bit (see ``_grid_chunks``), so there f and the
+        residuals agree to 1e-14."""
+        regions = {"box": run_config.region, "ball": Region.hypersphere(1.2, dim=3)}
+        programs = {name: [build_program(example_model, spec, region)
+                           for spec in run_config.methods]
+                    for name, region in regions.items()}
         results = {}
         for chunk in (7, GRID_CHUNK, 65_536):
             monkeypatch.setattr(solve, "GRID_CHUNK", chunk)
-            results[chunk] = [grid_search(p, 0.1) for p in programs]
+            results[chunk] = {name: [grid_search(p, 0.1) for p in progs]
+                              for name, progs in programs.items()}
         for chunk in (7, 65_536):
-            for got, want in zip(results[chunk], results[GRID_CHUNK]):
-                assert got.x_star.tolist() == want.x_star.tolist()
-                assert got.f_star == want.f_star
-                assert got.evaluations == want.evaluations == 21**3
-                assert got.constraint_residuals.tolist() == want.constraint_residuals.tolist()
+            for name, rel in (("box", 0.0), ("ball", 1e-14)):
+                assert len(results[chunk][name]) == 8
+                for got, want in zip(results[chunk][name], results[GRID_CHUNK][name]):
+                    assert got.x_star.tolist() == want.x_star.tolist()
+                    assert got.f_star == pytest.approx(want.f_star, rel=rel, abs=0)
+                    assert got.evaluations == want.evaluations
+                    assert got.constraint_residuals == pytest.approx(
+                        want.constraint_residuals, rel=rel, abs=0)
+        assert {r.evaluations for r in results[GRID_CHUNK]["box"]} == {21**3}
 
     def test_region_grid_keeps_the_ball_nodes_in_order_at_any_size(self, monkeypatch):
         region = Region.hypersphere(1.0, dim=3)
