@@ -21,6 +21,7 @@ __all__ = [
     "CovCompare",
     "fit_ols",
     "moments",
+    "row_moments",
     "predict",
     "unit_variance",
     "covariance_at",
@@ -131,6 +132,60 @@ def moments(model: FittedModel, x) -> tuple[np.ndarray, np.ndarray]:
     (k, r) transpose of a C-contiguous (r, k) array (see ``_means``)."""
     z = evaluate_basis(x, model.terms)
     return _means(z, model.b_hat), _quadratic_form(z, model.xtx_inv)
+
+
+def row_moments(model: FittedModel):
+    """The moments along grid rows of the last factor: a function
+    ``(lead, t) -> (m, q)`` at the nodes (lead_i, t_j) for every row
+    ``lead_i`` of ``lead`` (rows, n-1) and every node ``t_j`` of ``t`` (L,),
+    in lexicographic order (row i, then j). m has shape (rows * L, r) and
+    the layout ``moments`` gives a batch; q has shape (rows * L,).
+
+    Every term of z is its value at x_n = 1 times x_n^d, with d in {0, 1, 2}
+    its degree in x_n. So along a row m is the quadratic M0 + M1 t + M2 t^2
+    and q the quartic sum_k c_k t^k with c_k = sum_{d+e=k} F_d' A_de F_e,
+    where F = z(lead, 1) comes from one ``evaluate_basis`` call per block
+    and F_d is its part of degree d. B and A are split by degree once, here;
+    a block's coefficients then take three matrix products, and its nodes
+    one product with the powers of t each for m and q: a few multiply-adds
+    per node instead of p products.
+
+    With the OpenBLAS kernels numpy ships, a matrix-matrix product rounds
+    an entry the same way wherever it falls, but a product with one row or
+    column takes the matrix-vector path, which rounds some entries
+    differently in the last bit. So a lone row or node is scored as two,
+    and a row gets the same bits in any block of rows or segment of t."""
+    terms, p, r = model.terms, model.p, model.r
+    degree = (terms.pair_a == terms.n - 1).astype(int) + (terms.pair_b == terms.n - 1)
+    split = degree == np.arange(3)[:, None]                       # (3, p)
+    # column 3k + d of f @ b3 is coefficient d of response k's mean
+    b3 = (model.b_hat.T[:, None, :] * split).reshape(3 * r, p).T
+    # column e p + l of f @ a3 sums f_j A_jl over the terms j of degree e;
+    # times f_l it belongs to c_(e + degree l), where to_power sends it
+    a3 = (model.xtx_inv * split[:, :, None]).transpose(1, 0, 2).reshape(p, 3 * p)
+    to_power = np.zeros((3, p, 5))
+    for e in range(3):
+        to_power[e, np.arange(p), e + degree] = 1.0
+    to_power = to_power.reshape(3 * p, 5)
+
+    def read(lead, t):
+        lead = np.asarray(lead, dtype=float)
+        t = np.asarray(t, dtype=float)
+        rows, size = lead.shape[0], t.size
+        if rows == 1:
+            lead = np.repeat(lead, 2, axis=0)
+        if size == 1:
+            t = np.repeat(t, 2)
+        f = evaluate_basis(np.column_stack([lead, np.ones(len(lead))]), terms)
+        powers = np.vander(t, 5, increasing=True).T               # t^0 .. t^4
+        # (r, rows, L): the (rows * L, r) transpose has a batch's layout
+        m = (f @ b3).reshape(-1, r, 3).transpose(1, 0, 2) @ powers[:3]
+        m = np.ascontiguousarray(m[:, :rows, :size])
+        c = ((f @ a3).reshape(-1, 3, p) * f[:, None, :]).reshape(-1, 3 * p) @ to_power
+        q = c @ powers
+        return m.reshape(r, -1).T, q[:rows, :size].reshape(-1)
+
+    return read
 
 
 def predict(model: FittedModel, x) -> np.ndarray:

@@ -11,10 +11,12 @@ Each constructor defines its method once, as a function ``fn(m, q)`` of the
 moments that returns the objective and every equality residual, and
 ``_program`` composes it with one ``moments`` call per batch: that
 composition is the program's ``score``, which the solvers call, and its
-``objective`` and ``eq_constraints`` are the components. modified-e-epsilon
-is the one exception: it reads (m, q) through ``predict`` and
-``unit_variance`` (its docstring says why). What does not depend on x (a
-normal quantile, diag Sigma) is computed once per program.
+``objective`` and ``eq_constraints`` are the components. The same ``fn``
+composed with ``row_moments`` scores whole rows of a grid for the oracle.
+modified-e-epsilon is the one exception: it reads (m, q) through
+``predict`` and ``unit_variance`` (its docstring says why) and has no row
+scorer. What does not depend on x (a normal quantile, diag Sigma) is
+computed once per program.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fit import FittedModel, matrix_sqrt, moments, predict, unit_variance
+from .fit import FittedModel, matrix_sqrt, moments, predict, row_moments, unit_variance
 from .model import Region
 
 __all__ = [
@@ -108,7 +110,12 @@ class ScalarProgram:
     derivative-free default. ``goals``, set only by ``goal_programming``,
     is ``(gap, w)``: the objective is ``|gap(x)| @ w`` for a smooth
     ``gap`` from a batch to its (batch, r) deviations from the targets,
-    which the local solver uses in deviation-variable form.
+    which the local solver uses in deviation-variable form. ``rows``, set
+    by ``_program`` for a program that reads ``moments``, is
+    ``(score_rows, r)``: ``score_rows(lead, t)`` gives what ``score`` gives
+    at the grid nodes (lead_i, t_j) in lexicographic order, for leading
+    coordinates ``lead`` (rows, n-1) and last-axis nodes ``t``, and r, the
+    width of its (nodes, r) means, sizes the blocks ``grid_search`` scores.
     """
 
     objective: Callable[[np.ndarray], np.ndarray]
@@ -118,6 +125,7 @@ class ScalarProgram:
     smooth: bool = False
     score: Score | None = None
     goals: tuple[Callable[[np.ndarray], np.ndarray], np.ndarray] | None = None
+    rows: tuple[Callable[[np.ndarray, np.ndarray], tuple], int] | None = None
 
     def __post_init__(self) -> None:
         if self.score is None or getattr(self.score, "composed", False):
@@ -140,8 +148,15 @@ def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
     """A built-in program over the unit cube unless ``region`` is given:
     ``fn(m, q)`` gives the objective and ``n_eq`` residuals, and its (m, q)
     come from one ``moments`` call per batch unless ``read(x)`` is given.
-    The objective and each constraint read the composed ``score``."""
-    read = read or (lambda x: moments(model, x))
+    The objective and each constraint read the composed ``score``. A program
+    that reads ``moments`` also scores grid rows, ``fn`` of one
+    ``row_moments`` call per block of rows; one given ``read`` keeps only
+    ``score``."""
+    rows = None
+    if read is None:
+        read = lambda x: moments(model, x)
+        read_rows = row_moments(model)
+        rows = (lambda lead, t: fn(*read_rows(lead, t)), model.r)
 
     def score(x):
         return fn(*read(x))
@@ -157,6 +172,7 @@ def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
         descriptor=descriptor,
         smooth=smooth,
         goals=goals,
+        rows=rows,
     )
 
 

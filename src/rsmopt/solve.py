@@ -1,7 +1,9 @@
 """Minimizers for scalar programs over box or ball regions.
 
-``grid_search`` is the exhaustive oracle the tests check against, scored
-through ``program.score`` one batch at a time. The production path is
+``grid_search`` is the exhaustive oracle the tests check against. A program
+that reads ``moments`` is scored a block of grid rows at a time through its
+row scorer (``fit.row_moments``); any other program is scored through
+``program.score`` one batch of nodes at a time. The production path is
 ``multistart``: a coarse-grid incumbent and deterministic quasi-random
 starts, each followed by one local solve. For every built-in program that
 is ``slsqp``: SLSQP with the box bounds, the equality constraints given
@@ -14,6 +16,7 @@ only for a program built by hand with ``smooth=False`` and no constraints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,17 +36,24 @@ __all__ = [
 ]
 
 MAX_GRID_NODES = int(2e8)
-# Grid nodes scored per batch. Each batch makes several (chunk, p) float64
-# temporaries (the basis z, z'A and their product). glibc serves a block
-# above its mmap threshold (128 KiB by default) with a fresh mapping and
-# unmaps it on free, so every batch faults those pages in again; at 2,048
-# nodes a (chunk, 7) block is 112 KiB and comes from the heap, reused by
-# the next batch. At 65,536 nodes, eight 0.02 grids over the example took
-# about 293,000 minor faults per pass; at 2,048 they take a few dozen, and
-# the pass takes a third of the time (chunk sweep in CHANGES.md). A batch's
-# nodes are decoded without a per-node division: its last coordinates are a
-# slice of that axis tiled once per grid, and the others are repeated over
-# the few rows of the last axis it touches (``_grid_chunks``).
+# glibc serves a block above its mmap threshold (128 KiB by default) with a
+# fresh mapping and unmaps it on free, so a grid block whose temporaries
+# pass it faults their pages in again every time; below it they come from
+# the heap, reused by the next block. The grid oracle sizes its blocks to
+# stay under it. On the row path (``grid_search``) the widest per-node
+# array is the (nodes, r) means, so a block holds GRID_BLOCK_BYTES / (8 r)
+# nodes in whole rows: 8,192 nodes at r = 2, 81 rows of a 0.02 grid over
+# the example cube (block sweep in CHANGES.md).
+GRID_BLOCK_BYTES = 128 * 1024
+# Grid nodes scored per batch on the point path, which builds several
+# (chunk, p) float64 temporaries (the basis z, z'A and their product): at
+# 2,048 nodes a (chunk, 7) block is 112 KiB. At 65,536 nodes, eight 0.02
+# grids over the example took about 293,000 minor faults per pass; at 2,048
+# they take a few dozen, and the pass takes a third of the time (chunk
+# sweep in CHANGES.md). A batch's nodes are decoded without a per-node
+# division: its last coordinates are a slice of that axis tiled once per
+# grid, and the others are repeated over the few rows of the last axis it
+# touches (``_grid_chunks``).
 GRID_CHUNK = 2_048
 # Penalty weight the grid oracle applies to squared residuals. Balances
 # two opposing biases at the default 0.01 grid: too large and the
@@ -80,10 +90,11 @@ def _residuals_at(program: ScalarProgram, x: np.ndarray) -> np.ndarray:
     return np.array([abs(float(c(x))) for c in program.eq_constraints])
 
 
-def _penalized(program: ScalarProgram, mu: float):
-    """x -> objective + mu * sum(residual^2), from one ``program.score`` call."""
-    def fn(x):
-        f, residuals = program.score(x)
+def _penalized(score, mu: float):
+    """The objective plus mu * sum(residual^2), from one call of ``score``,
+    which returns (objective, residuals) as ``program.score`` does."""
+    def fn(*args):
+        f, residuals = score(*args)
         val = np.asarray(f, dtype=float)
         for g in residuals:
             val = val + mu * np.asarray(g, dtype=float) ** 2
@@ -99,28 +110,48 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
     with mu = GRID_PENALTY_WEIGHT; raw residuals are reported at the
     winner. Ties break to the lowest score, then the lexicographically
     smallest point.
+
+    A program with a row scorer (``program.rows``, set for every built-in
+    program that reads ``moments``) is scored in blocks of whole rows of
+    the last axis, GRID_BLOCK_BYTES / (8 r) nodes at most, each from one
+    basis evaluation at its rows' leading coordinates (``fit.row_moments``):
+    only those coordinates are decoded, and a row longer than the block is
+    scored in segments. Any
+    other program is scored through ``program.score`` in batches of
+    GRID_CHUNK nodes (``_region_grid``). Both visit the same nodes in the
+    same order, and on a ball both keep the nodes of the same norm test.
+
+    A scorer forms a weighted sum over the responses as one matrix-vector
+    product per block, and with the OpenBLAS kernels numpy ships that
+    rounds the nodes past the block's last multiple of four differently in
+    the last bit. So f at a node can move by an ulp with the block size.
+    On a box the tests' block sizes give the same x*, f and residuals; on a
+    ball, where a block is what is left of one inside it, they hold x*
+    equal and f to 1e-14 relative.
     """
-    score_fn = _penalized(program, GRID_PENALTY_WEIGHT)
+    if program.rows is None:
+        blocks = _point_blocks(program, resolution)
+    else:
+        blocks = _row_blocks(program, resolution)
     best_score = np.inf
     best_x: np.ndarray | None = None
     evaluations = 0
 
-    for pts in _region_grid(program.region, resolution):
-        scores = np.asarray(score_fn(pts), dtype=float)
-        evaluations += pts.shape[0]
+    for scores, node in blocks:
+        evaluations += scores.size
         idx = int(np.argmin(scores))  # the first NaN, if there is one
         s = float(scores[idx])
         if np.isnan(s):
             raise ValueError(f"{program.descriptor}: objective is NaN at grid node "
-                             f"{pts[idx].tolist()}")
+                             f"{node(idx).tolist()}")
         if best_x is None or s < best_score - 1e-15:
-            best_score, best_x = s, pts[idx].copy()
+            best_score, best_x = s, node(idx)
         elif abs(s - best_score) <= 1e-15:
             # tie: keep the lexicographically smaller point
-            cand = pts[idx]
+            cand = node(idx)
             if tuple(cand) < tuple(best_x):
-                best_x = cand.copy()
-        # exact ties within a chunk: argmin returns the first, and chunks
+                best_x = cand
+        # exact ties within a block: argmin returns the first, and blocks
         # are generated in lexicographic order, so the rule holds.
     residuals = _residuals_at(program, best_x)
     return SolveResult(
@@ -132,27 +163,97 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
     )
 
 
-def _region_grid(region: Region, resolution: float):
-    """Yield the grid nodes inside the region in lexicographic order, in
-    chunks of at most GRID_CHUNK rows; the grid spans the bounding box."""
+def _point_blocks(program: ScalarProgram, resolution: float):
+    """(scores, node) per batch of ``_region_grid``; ``node(i)`` is a copy
+    of the batch's i-th point."""
+    score = _penalized(program.score, GRID_PENALTY_WEIGHT)
+    for pts in _region_grid(program.region, resolution):
+        yield np.asarray(score(pts), dtype=float), lambda i, pts=pts: pts[i].copy()
+
+
+def _row_blocks(program: ScalarProgram, resolution: float):
+    """(scores, node) per block of ``_region_rows``, scored by the program's
+    row scorer; ``node(i)`` is the block's i-th scored node."""
+    score_rows, width = program.rows
+    score = _penalized(score_rows, GRID_PENALTY_WEIGHT)
+    block = max(1, GRID_BLOCK_BYTES // (8 * width))
+    for lead, t, inside in _region_rows(program.region, resolution, block):
+        scores = np.asarray(score(lead, t), dtype=float)
+        if inside is not None:
+            scores = scores[inside]
+
+        def node(i, lead=lead, t=t, inside=inside):
+            row, j = divmod(int(i if inside is None else inside[i]), t.size)
+            return np.append(lead[row], t[j])
+
+        yield scores, node
+
+
+def _grid_axes(region: Region, resolution: float) -> list[np.ndarray]:
+    """The grid's axes over the region's bounding box; the node count is
+    checked against MAX_GRID_NODES in exact integers."""
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     lo, hi = region.bounding_box()
     axes = [np.linspace(a, b, int(round((b - a) / resolution)) + 1)
             for a, b in zip(lo, hi)]
-    if int(np.prod([a.size for a in axes])) > MAX_GRID_NODES:
+    if math.prod(a.size for a in axes) > MAX_GRID_NODES:
         raise ValueError("grid too large")
+    return axes
+
+
+def _inside_ball(region: Region, pts: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a row-major (k, n) block inside the ball; einsum's
+    row sums round differently on a column-major block when n >= 3."""
+    return np.einsum("ij,ij->i", pts, pts) <= region.radius**2
+
+
+def _region_grid(region: Region, resolution: float):
+    """Yield the grid nodes inside the region in lexicographic order, in
+    chunks of at most GRID_CHUNK rows; the grid spans the bounding box."""
     found = False
-    for pts in _grid_chunks(axes, GRID_CHUNK):
+    for pts in _grid_chunks(_grid_axes(region, resolution), GRID_CHUNK):
         if region.kind == "hypersphere":
-            # einsum's row sums round differently on a column-major block
-            # when n >= 3; test the norm on a row-major copy
             pts = np.ascontiguousarray(pts)
-            pts = pts[np.einsum("ij,ij->i", pts, pts) <= region.radius**2]
+            pts = pts[_inside_ball(region, pts)]
             if pts.shape[0] == 0:
                 continue
         found = True
         yield pts
+    if not found:
+        raise ValueError(f"no grid node at resolution {resolution:g} "
+                         f"lies inside the region")
+
+
+def _region_rows(region: Region, resolution: float, block: int):
+    """Yield the nodes of ``_region_grid`` as (lead, t, inside), in the same
+    order: the nodes (lead_i, t_j) of whole rows of the last axis, at most
+    ``block`` of them, with the leading coordinates ``lead`` (rows, n-1)
+    decoded by ``_grid_chunks`` and ``t`` a slice of the last axis, which
+    is the whole axis unless a row is longer than ``block``. ``inside`` is
+    None on a box; on a ball it is the flat indices of the block's nodes
+    that pass the norm test of ``_region_grid``, and a block with none is
+    skipped."""
+    axes = _grid_axes(region, resolution)
+    last = axes[-1]
+    segments = [last[i:i + block] for i in range(0, last.size, block)]
+    if len(axes) == 1:
+        leads = [np.empty((1, 0))]
+    else:
+        leads = _grid_chunks(axes[:-1], max(1, block // last.size))
+    found = False
+    for lead in leads:
+        for t in segments:
+            inside = None
+            if region.kind == "hypersphere":
+                pts = np.empty((lead.shape[0], t.size, len(axes)))
+                pts[..., :-1] = lead[:, None, :]
+                pts[..., -1] = t
+                inside = np.flatnonzero(_inside_ball(region, pts.reshape(-1, len(axes))))
+                if inside.size == 0:
+                    continue
+            found = True
+            yield lead, t, inside
     if not found:
         raise ValueError(f"no grid node at resolution {resolution:g} "
                          f"lies inside the region")
@@ -174,20 +275,10 @@ def _grid_chunks(axes: list[np.ndarray], chunk: int):
     give the same bits for any layout; a hand-built objective that reduces
     along the factor axis (an einsum, say) may round its last bit
     differently than on a row-major block.
-
-    A block's means come from one matrix product. With the OpenBLAS
-    kernels numpy ships, that rounds a row the same way in any block of two
-    or more rows, but a block of one row takes the matrix-vector path and
-    can round it differently in the last bit. On a box only the last block
-    can have one row, so ``grid_search`` gives the same x*, f and residuals
-    at the chunk sizes the tests use. On a ball a block is what is left of
-    one inside the ball, one-row blocks do occur, and f can move by an ulp
-    or two with the chunk size: the tests hold x* equal and f to 1e-14
-    relative.
     """
     n = len(axes)
     sizes = [a.size for a in axes]
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
     last = sizes[-1]
     # every block's last coordinates are one slice of this copy; a grid of
     # one row is its own copy
@@ -202,9 +293,9 @@ def _grid_chunks(axes: list[np.ndarray], chunk: int):
         if n > 1:
             # the rows the block touches, and how many of its nodes lie in each
             rows = np.arange(row, (stop - 1) // last + 1)
-            edges = rows * last
-            edges[0] = start
-            counts = np.diff(edges, append=stop)
+            counts = np.full(rows.size, last)
+            counts[0] -= offset
+            counts[-1] -= (rows[-1] + 1) * last - stop
             for i in range(n - 2, 0, -1):
                 rows, idx = np.divmod(rows, sizes[i])
                 coords[i] = axes[i].take(idx).repeat(counts)

@@ -4,7 +4,9 @@
 monomial at a time; the production ``evaluate_basis`` must agree with it
 exactly. The Kataoka and P-model terms are recomputed here from that
 reference z(x) with their textbook formulas, and the matmul quadratic form
-is checked against the three-operand einsum it replaced.
+is checked against the three-operand einsum it replaced. The row form of
+the moments, which the grid oracle scores, is checked against ``moments``
+at the same nodes.
 """
 
 from statistics import NormalDist
@@ -13,7 +15,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmopt.fit import FittedModel, _quadratic_form, moments, predict, unit_variance
+from rsmopt.fit import (
+    FittedModel,
+    _quadratic_form,
+    moments,
+    predict,
+    row_moments,
+    unit_variance,
+)
 from rsmopt.model import TermSpec, evaluate_basis
 from rsmopt.programs import MethodConfig, kataoka_terms, p_model_terms
 
@@ -176,3 +185,63 @@ def test_feature_major_quadratic_form_matches_einsum(case):
     assert np.allclose(got, np.einsum("...i,ij,...j->...", z, a, z), rtol=1e-12, atol=0)
     row_major = _quadratic_form(np.ascontiguousarray(z), a)
     assert np.allclose(got, row_major, rtol=1e-12, atol=0)
+
+
+@st.composite
+def row_cases(draw):
+    """A random model over a random term set with r = 1-4 and an SPD A (so
+    q >= |z|^2 >= 1), and a block of 1-6 grid rows over 1-9 last-axis
+    nodes; one-row blocks and one-node rows are drawn often."""
+    terms = draw(term_specs())
+    r = draw(st.integers(1, 4))
+    rows = draw(st.one_of(st.just(1), st.integers(1, 6)))
+    size = draw(st.one_of(st.just(1), st.integers(1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = terms.p
+    s = rng.standard_normal((r, r))
+    model = FittedModel(
+        terms=terms,
+        b_hat=rng.standard_normal((p, r)) * 10.0,
+        sigma_hat=s @ s.T + 0.1 * np.eye(r),
+        xtx_inv=spd(rng, p),
+        residuals=np.zeros((p + 1, r)),
+        n_obs=p + 1,
+    )
+    lead = rng.uniform(-2.0, 2.0, size=(rows, terms.n - 1))
+    t = np.sort(rng.uniform(-2.0, 2.0, size=size))
+    return model, lead, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=row_cases())
+def test_row_moments_match_moments_at_the_row_nodes(case):
+    model, lead, t = case
+    pts = np.column_stack([np.repeat(lead, t.size, axis=0), np.tile(t, len(lead))])
+    m, q = row_moments(model)(lead, t)
+    want_m, want_q = moments(model, pts)
+    assert m.shape == want_m.shape and q.shape == want_q.shape
+    assert m.T.flags.c_contiguous    # the (r, k) layout of a batch's means
+    z = evaluate_basis_loop(pts, model.terms)
+    scale = np.abs(z) @ np.abs(model.b_hat)        # sum_j |B_jk z_j|
+    assert np.all(np.abs(m - want_m) <= 1e-12 * scale)
+    assert np.all(np.abs(q - want_q) <= 1e-12 * want_q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=row_cases(), cut=st.integers(0, 9))
+def test_row_moments_give_a_row_the_same_bits_in_any_block(case, cut):
+    """One row at a time, and t cut in two, give the block's exact values:
+    the grid oracle's result must not depend on its block size."""
+    model, lead, t = case
+    read = row_moments(model)
+    m, q = read(lead, t)
+    m = m.reshape(len(lead), t.size, model.r)
+    q = q.reshape(len(lead), t.size)
+    cut = min(cut, t.size)
+    for i in range(len(lead)):
+        for piece in (slice(0, cut), slice(cut, None)):
+            if len(t[piece]) == 0:
+                continue
+            got_m, got_q = read(lead[i:i + 1], t[piece])
+            assert np.array_equal(got_m, m[i, piece])
+            assert np.array_equal(got_q, q[i, piece])

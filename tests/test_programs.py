@@ -418,22 +418,38 @@ class TestScore:
     ])
     def test_grid_search_builds_the_basis_once_per_chunk(self, example_model, run_config,
                                                          monkeypatch, name, per_chunk):
+        """A program that reads ``moments`` scores the 0.1 grid's 441 rows in
+        blocks of 47 (1,000 nodes at r = 2): one basis call per block, at
+        the block's leading coordinates with x3 = 1, covering each row once.
+        modified-e-epsilon reads m and q through ``predict`` and
+        ``unit_variance`` and keeps the point path: two calls per 1,000-node
+        chunk."""
         spec = next(m for m in run_config.methods if m.name == name)
         program = build_program(example_model, spec, run_config.region)
+        assert (program.rows is None) == (name == "modified-e-epsilon")
         real = fit.evaluate_basis
         batches = []
 
         def counting(x, terms):
-            if np.ndim(x) > 1:   # grid chunks; residuals at the winner are one point
-                batches.append(len(x))
+            if np.ndim(x) > 1:   # blocks; residuals at the winner are one point
+                batches.append(np.array(x))
             return real(x, terms)
 
         monkeypatch.setattr(solve, "GRID_CHUNK", 1000)
+        monkeypatch.setattr(solve, "GRID_BLOCK_BYTES", 1000 * 8 * 2)
         monkeypatch.setattr(fit, "evaluate_basis", counting)
         result = solve.grid_search(program, 0.1)
         assert result.evaluations == 21**3
-        assert len(batches) == per_chunk * 10
-        assert sum(batches) == per_chunk * result.evaluations
+        if program.rows is None:
+            assert len(batches) == per_chunk * 10
+            assert sum(map(len, batches)) == per_chunk * result.evaluations
+            return
+        assert [len(b) for b in batches] == [47] * 9 + [18]
+        lead = np.concatenate(batches)
+        axis = np.linspace(-1, 1, 21)
+        rows = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+        assert np.array_equal(lead[:, :2], rows)
+        assert np.all(lead[:, 2] == 1.0)
 
     @pytest.mark.parametrize("reader", [
         "report row", "rsmopt eval", "joint_probability_mc", "p_model_terms",

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TAU, WEIGHTS
-from rsmopt.cli import build_program
-from rsmopt.fit import predict, unit_variance
-from rsmopt.model import Region
+from rsmopt.cli import METHOD_CONSTRUCTORS, build_program
+from rsmopt.fit import fit_ols, moments, predict, unit_variance
+from rsmopt.model import Region, TermSpec, evaluate_basis
 from rsmopt.programs import (
     MethodConfig,
     ScalarProgram,
@@ -80,6 +80,14 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="grid too large"):
             grid_search(constant_program(), 1e-4)
 
+    def test_node_count_does_not_wrap(self):
+        # 21^15 nodes wrap to a negative count in int64
+        program = dataclasses.replace(constant_program(), region=Region.unit_cube(15))
+        with pytest.raises(ValueError, match="grid too large"):
+            grid_search(program, 0.1)
+        with pytest.raises(ValueError, match="grid too large"):
+            pareto_front([program.objective] * 2, program.region, 0.1)
+
     def test_chunks_keep_lexicographic_order_at_any_size(self):
         axes = [np.linspace(-1, 1, 5), np.linspace(0, 1, 3), np.linspace(-2, 2, 7)]
         want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -100,21 +108,29 @@ class TestGridSearch:
 
     def test_results_do_not_depend_on_the_chunk_size(self, example_model, run_config,
                                                       monkeypatch):
-        """Exact on the box. On the ball a block of one row can round the
-        means in the last bit (see ``_grid_chunks``), so there f and the
-        residuals agree to 1e-14."""
+        """Point batches of 7 to 65,536 nodes, and row blocks of 7 nodes
+        (three segments per row), 30 (one row), 8,192 and 65,536 (every
+        row). Exact on the box. On the ball a block is what is left of one
+        inside the ball, and a product with w can round a node in the last
+        bit by where it falls in a small block (see ``grid_search``), so
+        there f and the residuals agree to 1e-14."""
         regions = {"box": run_config.region, "ball": Region.hypersphere(1.2, dim=3)}
         programs = {name: [build_program(example_model, spec, region)
                            for spec in run_config.methods]
                     for name, region in regions.items()}
+        sizes = [(7, 7), (100, 30), (GRID_CHUNK, None), (65_536, 65_536)]
         results = {}
-        for chunk in (7, GRID_CHUNK, 65_536):
+        for chunk, block in sizes:
             monkeypatch.setattr(solve, "GRID_CHUNK", chunk)
+            if block is not None:
+                monkeypatch.setattr(solve, "GRID_BLOCK_BYTES", 8 * 2 * block)
             results[chunk] = {name: [grid_search(p, 0.1) for p in progs]
                               for name, progs in programs.items()}
-        for chunk in (7, 65_536):
-            for name, rel in (("box", 0.0), ("ball", 1e-14)):
+            monkeypatch.undo()
+        for chunk in (7, 100, 65_536):
+            for name in ("box", "ball"):
                 assert len(results[chunk][name]) == 8
+                rel = 1e-14 if name == "ball" else 0.0
                 for got, want in zip(results[chunk][name], results[GRID_CHUNK][name]):
                     assert got.x_star.tolist() == want.x_star.tolist()
                     assert got.f_star == pytest.approx(want.f_star, rel=rel, abs=0)
@@ -163,6 +179,91 @@ class TestGridSearch:
         res = grid_search(prog, 0.25)
         assert float(res.x_star @ res.x_star) <= 1.0
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-12)
+
+
+def rotatable_ccd_model(seed: int = 2011):
+    """A full second-order model in three factors and three responses,
+    fitted to a rotatable central composite design: the 2^3 cube, six axial
+    points at alpha = 8^(1/4) = 1.682 and ten centre runs, with seeded
+    responses. With ten centre runs q is least at the centre; with six it
+    is least on a sphere, where symmetric grid nodes tie in exact
+    arithmetic and rounding picks the v-model's x*."""
+    alpha = 8 ** 0.25
+    cube = [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    axial = [tuple(sign * alpha * (i == j) for j in range(3))
+             for i in range(3) for sign in (-1, 1)]
+    x = np.array(cube + axial + [(0, 0, 0)] * 10, dtype=float)
+    terms = TermSpec.full_second_order(3)
+    rng = np.random.default_rng(seed)
+    z = evaluate_basis(x, terms)
+    y = z @ rng.standard_normal((terms.p, 3)) * 5.0 + rng.standard_normal((len(x), 3))
+    return fit_ols(z, y, terms)
+
+
+def method_programs(model, region):
+    """Every built-in method over the region, its targets at the model's
+    means at the centre plus an offset, so the epsilon targets are near."""
+    m0 = moments(model, np.zeros(model.n))[0]
+    r = model.r
+    cfg = MethodConfig(tau=m0 + 1.0, w=np.full(r, 1.0 / r), confidence=0.9,
+                       r1=0.3, r2=0.7, variance_scale=10.0, primary=1,
+                       epsilon=np.linspace(-0.5, 0.5, r))
+    return {name: build(model, cfg, region=region)
+            for name, build in METHOD_CONSTRUCTORS.items()}
+
+
+class TestRowPath:
+    """``grid_search`` on grid rows against the point path: the same
+    program with its row scorer removed."""
+
+    @staticmethod
+    def assert_same(program, resolution):
+        assert program.rows is not None
+        got = grid_search(program, resolution)
+        want = grid_search(dataclasses.replace(program, rows=None), resolution)
+        assert got.x_star.tolist() == want.x_star.tolist(), program.descriptor
+        assert got.evaluations == want.evaluations
+        assert got.f_star == pytest.approx(want.f_star, rel=1e-12, abs=0)
+        assert got.constraint_residuals == pytest.approx(want.constraint_residuals,
+                                                         rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    def test_configured_methods(self, example_model, run_config, region):
+        region = {"cube": run_config.region,
+                  "ball": Region.hypersphere(1.2, dim=3)}[region]
+        programs = [build_program(example_model, spec, region)
+                    for spec in run_config.methods]
+        assert sum(p.rows is None for p in programs) == 1   # modified-e-epsilon
+        for program in programs:
+            if program.rows is not None:
+                self.assert_same(program, 0.05)
+
+    def test_rotatable_ccd_with_three_responses(self):
+        model = rotatable_ccd_model()
+        programs = method_programs(model, Region.hypersphere(8 ** 0.25, dim=3))
+        for name, program in programs.items():
+            if name != "modified-e-epsilon":
+                self.assert_same(program, 0.1)
+
+    @pytest.mark.parametrize("block", [None, 64, 100])
+    def test_one_factor_model(self, monkeypatch, block):
+        """One row of 2,001 nodes: one block, or segments of 64 (the last of
+        17) and of 100 (the last of one node)."""
+        x = np.array([-1.0, -0.7, -0.2, 0.1, 0.4, 0.8, 1.0])
+        terms = TermSpec.from_names(["1", "x1", "x1^2"], 1)
+        z = evaluate_basis(x[:, None], terms)
+        y = np.column_stack([3.0 + 2.0 * x - 4.0 * x**2, 1.0 - x + x**2])
+        y = y + 0.1 * np.cos(np.arange(7.0))[:, None]
+        model = fit_ols(z, y, terms)
+        if block is not None:
+            monkeypatch.setattr(solve, "GRID_BLOCK_BYTES", 8 * 2 * block)
+        for name, program in method_programs(model, Region.unit_cube(1)).items():
+            if name != "modified-e-epsilon":
+                self.assert_same(program, 0.001)
+        v = grid_search(v_model(model), 0.001)
+        nodes = np.linspace(-1.0, 1.0, 2001)[:, None]
+        assert v.evaluations == 2001
+        assert v.x_star.tolist() == nodes[np.argmin(unit_variance(model, nodes))].tolist()
 
 
 class TestNelderMead:
@@ -442,7 +543,7 @@ class TestPolishDispatch:
         exact = penalty_solve(prog, x0)
         x, evaluations = x0, 0
         for mu in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
-            stage = nelder_mead(ScalarProgram(objective=solve._penalized(prog, mu),
+            stage = nelder_mead(ScalarProgram(objective=solve._penalized(prog.score, mu),
                                               region=prog.region,
                                               descriptor=f"{name} at mu={mu:g}",
                                               smooth=False), x)
