@@ -43,17 +43,17 @@ MAX_GRID_NODES = int(2e8)
 # stay under it. On the row path (``grid_search``) the widest per-node
 # array is the (nodes, r) means, so a block holds GRID_BLOCK_BYTES / (8 r)
 # nodes in whole rows: 8,192 nodes at r = 2, 81 rows of a 0.02 grid over
-# the example cube (block sweep in CHANGES.md).
+# the example cube (block sweep in CHANGES.md). On a ball the (nodes, n)
+# points of the norm test are as wide when n > r, so there a block holds
+# GRID_BLOCK_BYTES / (8 max(r, n)).
 GRID_BLOCK_BYTES = 128 * 1024
 # Grid nodes scored per batch on the point path, which builds several
 # (chunk, p) float64 temporaries (the basis z, z'A and their product): at
 # 2,048 nodes a (chunk, 7) block is 112 KiB. At 65,536 nodes, eight 0.02
 # grids over the example took about 293,000 minor faults per pass; at 2,048
 # they take a few dozen, and the pass takes a third of the time (chunk
-# sweep in CHANGES.md). A batch's nodes are decoded without a per-node
-# division: its last coordinates are a slice of that axis tiled once per
-# grid, and the others are repeated over the few rows of the last axis it
-# touches (``_grid_chunks``).
+# sweep in CHANGES.md). A batch is a block of whole rows from the same
+# walker as the row path (``_region_rows``), expanded to points.
 GRID_CHUNK = 2_048
 # Penalty weight the grid oracle applies to squared residuals. Balances
 # two opposing biases at the default 0.01 grid: too large and the
@@ -108,26 +108,28 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
 
     Constrained programs are scored as objective + mu * sum(residual^2)
     with mu = GRID_PENALTY_WEIGHT; raw residuals are reported at the
-    winner. Ties break to the lowest score, then the lexicographically
-    smallest point.
+    winner. Scores within 1e-15 of the least tie, and a tie goes to the
+    lexicographically smallest point: blocks come in lexicographic order,
+    so within a block that is the first node within 1e-15 of the block's
+    least score, and a later block wins only by more than 1e-15.
 
-    A program with a row scorer (``program.rows``, set for every built-in
-    program that reads ``moments``) is scored in blocks of whole rows of
-    the last axis, GRID_BLOCK_BYTES / (8 r) nodes at most, each from one
-    basis evaluation at its rows' leading coordinates (``fit.row_moments``):
-    only those coordinates are decoded, and a row longer than the block is
-    scored in segments. Any
-    other program is scored through ``program.score`` in batches of
-    GRID_CHUNK nodes (``_region_grid``). Both visit the same nodes in the
-    same order, and on a ball both keep the nodes of the same norm test.
+    The nodes come from one walker, ``_region_rows``: blocks of whole rows
+    of the last axis (a row longer than the block in segments), on a ball
+    without the rows that miss it and with the nodes that pass the norm
+    test. A program with a row scorer (``program.rows``, set for every
+    built-in program that reads ``moments``) scores a block of at most
+    GRID_BLOCK_BYTES / (8 max(r, n)) nodes on a ball, and / (8 r) on a
+    box, from one basis evaluation at its rows' leading coordinates
+    (``fit.row_moments``). Any other program is scored through
+    ``program.score`` on blocks of at most GRID_CHUNK nodes expanded to
+    points (``_region_grid``).
 
     A scorer forms a weighted sum over the responses as one matrix-vector
     product per block, and with the OpenBLAS kernels numpy ships that
     rounds the nodes past the block's last multiple of four differently in
-    the last bit. So f at a node can move by an ulp with the block size.
-    On a box the tests' block sizes give the same x*, f and residuals; on a
-    ball, where a block is what is left of one inside it, they hold x*
-    equal and f to 1e-14 relative.
+    the last bit. So f at a node can move by an ulp with the block size;
+    on the tests' box and ball their block sizes give the same x*, f and
+    residuals.
     """
     if program.rows is None:
         blocks = _point_blocks(program, resolution)
@@ -144,15 +146,10 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
         if np.isnan(s):
             raise ValueError(f"{program.descriptor}: objective is NaN at grid node "
                              f"{node(idx).tolist()}")
+        idx = int(np.argmax(scores <= s + 1e-15))
+        s = float(scores[idx])
         if best_x is None or s < best_score - 1e-15:
             best_score, best_x = s, node(idx)
-        elif abs(s - best_score) <= 1e-15:
-            # tie: keep the lexicographically smaller point
-            cand = node(idx)
-            if tuple(cand) < tuple(best_x):
-                best_x = cand
-        # exact ties within a block: argmin returns the first, and blocks
-        # are generated in lexicographic order, so the rule holds.
     residuals = _residuals_at(program, best_x)
     return SolveResult(
         x_star=best_x,
@@ -176,8 +173,11 @@ def _row_blocks(program: ScalarProgram, resolution: float):
     row scorer; ``node(i)`` is the block's i-th scored node."""
     score_rows, width = program.rows
     score = _penalized(score_rows, GRID_PENALTY_WEIGHT)
+    region = program.region
+    if region.kind == "hypersphere":
+        width = max(width, region.dim)   # the (nodes, n) points of the norm test
     block = max(1, GRID_BLOCK_BYTES // (8 * width))
-    for lead, t, inside in _region_rows(program.region, resolution, block):
+    for lead, t, inside in _region_rows(region, resolution, block):
         scores = np.asarray(score(lead, t), dtype=float)
         if inside is not None:
             scores = scores[inside]
@@ -202,38 +202,39 @@ def _grid_axes(region: Region, resolution: float) -> list[np.ndarray]:
     return axes
 
 
-def _inside_ball(region: Region, pts: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a row-major (k, n) block inside the ball; einsum's
-    row sums round differently on a column-major block when n >= 3."""
-    return np.einsum("ij,ij->i", pts, pts) <= region.radius**2
+def _row_nodes(lead: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The nodes (lead_i, t_j) in lexicographic order (row i, then j), as
+    the (k, n) transpose of a feature-major array, which is what
+    ``evaluate_basis`` reads fastest; ``moments`` gives m in the same
+    layout. The built-in programs give the same bits for any layout; a
+    hand-built objective that reduces along the factor axis (an einsum,
+    say) may round its last bit differently than on a row-major block."""
+    coords = np.empty((lead.shape[1] + 1, lead.shape[0], t.size))
+    coords[:-1] = lead.T[:, :, None]
+    coords[-1] = t
+    return coords.reshape(coords.shape[0], -1).T
 
 
 def _region_grid(region: Region, resolution: float):
     """Yield the grid nodes inside the region in lexicographic order, in
-    chunks of at most GRID_CHUNK rows; the grid spans the bounding box."""
-    found = False
-    for pts in _grid_chunks(_grid_axes(region, resolution), GRID_CHUNK):
-        if region.kind == "hypersphere":
-            pts = np.ascontiguousarray(pts)
-            pts = pts[_inside_ball(region, pts)]
-            if pts.shape[0] == 0:
-                continue
-        found = True
-        yield pts
-    if not found:
-        raise ValueError(f"no grid node at resolution {resolution:g} "
-                         f"lies inside the region")
+    (k, n) batches of at most GRID_CHUNK nodes: the blocks of
+    ``_region_rows`` expanded to points."""
+    for lead, t, inside in _region_rows(region, resolution, GRID_CHUNK):
+        pts = _row_nodes(lead, t)
+        yield pts if inside is None else pts[inside]
 
 
 def _region_rows(region: Region, resolution: float, block: int):
-    """Yield the nodes of ``_region_grid`` as (lead, t, inside), in the same
-    order: the nodes (lead_i, t_j) of whole rows of the last axis, at most
-    ``block`` of them, with the leading coordinates ``lead`` (rows, n-1)
-    decoded by ``_grid_chunks`` and ``t`` a slice of the last axis, which
-    is the whole axis unless a row is longer than ``block``. ``inside`` is
-    None on a box; on a ball it is the flat indices of the block's nodes
-    that pass the norm test of ``_region_grid``, and a block with none is
-    skipped."""
+    """Yield the grid nodes inside the region, in lexicographic order, as
+    (lead, t, inside): the nodes (lead_i, t_j) of whole rows of the last
+    axis, at most ``block`` of them, with the leading coordinates ``lead``
+    (rows, n-1) decoded by ``_grid_chunks`` and ``t`` a slice of the last
+    axis, which is the whole axis unless a row is longer than ``block``.
+    ``inside`` is None on a box. On a ball the rows with no node in it are
+    dropped from ``lead``, ``inside`` is the flat indices of the remaining
+    nodes with ||x||^2 <= radius^2, summed over a row-major (k, n) array
+    (einsum's row sums round differently on a column-major one when
+    n >= 3), and a block with none is skipped."""
     axes = _grid_axes(region, resolution)
     last = axes[-1]
     segments = [last[i:i + block] for i in range(0, last.size, block)]
@@ -244,16 +245,27 @@ def _region_rows(region: Region, resolution: float, block: int):
     found = False
     for lead in leads:
         for t in segments:
-            inside = None
+            rows, inside = lead, None
             if region.kind == "hypersphere":
-                pts = np.empty((lead.shape[0], t.size, len(axes)))
-                pts[..., :-1] = lead[:, None, :]
+                # rows whose leading coordinates alone pass radius^2, by more
+                # than rounding could move it, have no node inside
+                near = np.einsum("ij,ij->i", lead, lead) <= region.radius**2 * (1 + 1e-12)
+                if not near.all():
+                    rows = lead[near]
+                pts = np.empty((rows.shape[0], t.size, len(axes)))
+                pts[..., :-1] = rows[:, None, :]
                 pts[..., -1] = t
-                inside = np.flatnonzero(_inside_ball(region, pts.reshape(-1, len(axes))))
-                if inside.size == 0:
+                pts = pts.reshape(-1, len(axes))
+                mask = np.einsum("ij,ij->i", pts, pts) <= region.radius**2
+                mask = mask.reshape(rows.shape[0], t.size)
+                hit = mask.any(axis=1)
+                if not hit.any():
                     continue
+                if not hit.all():
+                    rows, mask = rows[hit], mask[hit]
+                inside = np.flatnonzero(mask)
             found = True
-            yield lead, t, inside
+            yield rows, t, inside
     if not found:
         raise ValueError(f"no grid node at resolution {resolution:g} "
                          f"lies inside the region")
@@ -261,20 +273,17 @@ def _region_rows(region: Region, resolution: float, block: int):
 
 def _grid_chunks(axes: list[np.ndarray], chunk: int):
     """Yield grid points in lexicographic order, in blocks of at most
-    ``chunk`` rows.
+    ``chunk`` rows; ``_region_rows`` decodes the leading coordinates of its
+    row blocks with it.
 
     The last axis varies fastest, so a block is a run of whole or partial
     rows of it: its last coordinates are one slice of that axis tiled once
     per grid, and each other coordinate is decoded once per row the block
     touches and repeated over that row's nodes. Blocks are not aligned to
-    rows, so a row longer than ``chunk`` (a one-factor grid, say) still
-    comes in blocks of ``chunk``. The coordinates are filled feature-major,
-    one contiguous row per axis, and each block is yielded as the (rows, n)
-    transpose of that array, which is what ``evaluate_basis`` reads
-    fastest; ``moments`` gives m in the same layout. The built-in programs
-    give the same bits for any layout; a hand-built objective that reduces
-    along the factor axis (an einsum, say) may round its last bit
-    differently than on a row-major block.
+    rows, so a row longer than ``chunk`` still comes in blocks of
+    ``chunk``. The coordinates are filled feature-major, one contiguous
+    row per axis, and each block is yielded as the (rows, n) transpose of
+    that array.
     """
     n = len(axes)
     sizes = [a.size for a in axes]

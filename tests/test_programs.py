@@ -422,8 +422,8 @@ class TestScore:
         blocks of 47 (1,000 nodes at r = 2): one basis call per block, at
         the block's leading coordinates with x3 = 1, covering each row once.
         modified-e-epsilon reads m and q through ``predict`` and
-        ``unit_variance`` and keeps the point path: two calls per 1,000-node
-        chunk."""
+        ``unit_variance`` and keeps the point path: two calls per point
+        batch, the same 47 rows expanded to points."""
         spec = next(m for m in run_config.methods if m.name == name)
         program = build_program(example_model, spec, run_config.region)
         assert (program.rows is None) == (name == "modified-e-epsilon")
@@ -441,8 +441,8 @@ class TestScore:
         result = solve.grid_search(program, 0.1)
         assert result.evaluations == 21**3
         if program.rows is None:
-            assert len(batches) == per_chunk * 10
-            assert sum(map(len, batches)) == per_chunk * result.evaluations
+            sizes = [47 * 21] * 9 + [18 * 21]
+            assert [len(b) for b in batches] == [k for k in sizes for _ in range(per_chunk)]
             return
         assert [len(b) for b in batches] == [47] * 9 + [18]
         lead = np.concatenate(batches)

@@ -25,8 +25,11 @@ from rsmopt.solve import (
     GRID_CHUNK,
     SolveResult,
     _better,
+    _grid_axes,
     _grid_chunks,
     _region_grid,
+    _region_rows,
+    _row_nodes,
     _value_and_jacobian,
     grid_search,
     multistart,
@@ -54,6 +57,20 @@ def grid_axes(draw):
     if draw(st.booleans()):
         sizes[-1] = draw(st.integers(chunk + 1, 2 * chunk + 12))
     return [np.arange(size) + 100.0 * i for i, size in enumerate(sizes)], chunk
+
+
+@st.composite
+def region_grids(draw):
+    """A box or a ball in 1-4 factors over [-R, R], a resolution of R / k
+    for k in 1-8 (so ball nodes fall on or next to the sphere), and a block
+    of 1-60 nodes."""
+    dim = draw(st.integers(1, 4))
+    radius = draw(st.sampled_from([0.5, 1.0, 1.2, 8 ** 0.25]))
+    if draw(st.booleans()):
+        region = Region.hypersphere(radius, dim=dim)
+    else:
+        region = Region.hypercube([-radius] * dim, [radius] * dim)
+    return region, radius / draw(st.integers(1, 8)), draw(st.integers(1, 60))
 
 
 class TestGridSearch:
@@ -106,14 +123,32 @@ class TestGridSearch:
         assert all(b.shape[1] == len(axes) for b in blocks)
         assert np.array_equal(np.concatenate(blocks), want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=region_grids())
+    def test_region_rows_walk_the_masked_meshgrid(self, case):
+        """The one grid walker against meshgrid and the norm test on the
+        row-major nodes: same nodes in the same order, at most ``block``
+        scored per block, and on a ball no row without a node inside."""
+        region, resolution, block = case
+        axes = _grid_axes(region, resolution)
+        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        if region.kind == "hypersphere":
+            want = want[np.einsum("ij,ij->i", want, want) <= region.radius**2]
+        got = []
+        for lead, t, inside in _region_rows(region, resolution, block):
+            assert lead.shape[0] * t.size <= block
+            nodes = _row_nodes(lead, t)
+            if inside is not None:
+                assert np.array_equal(np.unique(inside // t.size), np.arange(lead.shape[0]))
+                nodes = nodes[inside]
+            got.append(nodes)
+        assert np.array_equal(np.concatenate(got), want)
+
     def test_results_do_not_depend_on_the_chunk_size(self, example_model, run_config,
                                                       monkeypatch):
         """Point batches of 7 to 65,536 nodes, and row blocks of 7 nodes
         (three segments per row), 30 (one row), 8,192 and 65,536 (every
-        row). Exact on the box. On the ball a block is what is left of one
-        inside the ball, and a product with w can round a node in the last
-        bit by where it falls in a small block (see ``grid_search``), so
-        there f and the residuals agree to 1e-14."""
+        row), on the box and on the ball: the same x*, f and residuals."""
         regions = {"box": run_config.region, "ball": Region.hypersphere(1.2, dim=3)}
         programs = {name: [build_program(example_model, spec, region)
                            for spec in run_config.methods]
@@ -130,13 +165,11 @@ class TestGridSearch:
         for chunk in (7, 100, 65_536):
             for name in ("box", "ball"):
                 assert len(results[chunk][name]) == 8
-                rel = 1e-14 if name == "ball" else 0.0
                 for got, want in zip(results[chunk][name], results[GRID_CHUNK][name]):
                     assert got.x_star.tolist() == want.x_star.tolist()
-                    assert got.f_star == pytest.approx(want.f_star, rel=rel, abs=0)
+                    assert got.f_star == want.f_star
                     assert got.evaluations == want.evaluations
-                    assert got.constraint_residuals == pytest.approx(
-                        want.constraint_residuals, rel=rel, abs=0)
+                    assert got.constraint_residuals.tolist() == want.constraint_residuals.tolist()
         assert {r.evaluations for r in results[GRID_CHUNK]["box"]} == {21**3}
 
     def test_region_grid_keeps_the_ball_nodes_in_order_at_any_size(self, monkeypatch):
@@ -181,18 +214,18 @@ class TestGridSearch:
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-12)
 
 
-def rotatable_ccd_model(seed: int = 2011):
+def rotatable_ccd_model(centre_runs: int = 10, seed: int = 2011):
     """A full second-order model in three factors and three responses,
     fitted to a rotatable central composite design: the 2^3 cube, six axial
-    points at alpha = 8^(1/4) = 1.682 and ten centre runs, with seeded
-    responses. With ten centre runs q is least at the centre; with six it
-    is least on a sphere, where symmetric grid nodes tie in exact
-    arithmetic and rounding picks the v-model's x*."""
+    points at alpha = 8^(1/4) = 1.682 and ``centre_runs`` centre runs, with
+    seeded responses. With ten centre runs q is least at the centre; with
+    six it is least on a sphere, where symmetric grid nodes tie in exact
+    arithmetic and differ by rounding."""
     alpha = 8 ** 0.25
     cube = [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
     axial = [tuple(sign * alpha * (i == j) for j in range(3))
              for i in range(3) for sign in (-1, 1)]
-    x = np.array(cube + axial + [(0, 0, 0)] * 10, dtype=float)
+    x = np.array(cube + axial + [(0, 0, 0)] * centre_runs, dtype=float)
     terms = TermSpec.full_second_order(3)
     rng = np.random.default_rng(seed)
     z = evaluate_basis(x, terms)
@@ -238,8 +271,11 @@ class TestRowPath:
             if program.rows is not None:
                 self.assert_same(program, 0.05)
 
-    def test_rotatable_ccd_with_three_responses(self):
-        model = rotatable_ccd_model()
+    @pytest.mark.parametrize("centre_runs", [6, 10])
+    def test_rotatable_ccd_with_three_responses(self, centre_runs):
+        """With six centre runs the v-model's least nodes on the sphere are
+        permutations 7e-16 apart: both paths must pick the same one."""
+        model = rotatable_ccd_model(centre_runs)
         programs = method_programs(model, Region.hypersphere(8 ** 0.25, dim=3))
         for name, program in programs.items():
             if name != "modified-e-epsilon":
