@@ -404,15 +404,27 @@ def joint_probability_mc(model: FittedModel, x, tau, n_samples: int,
     """Monte-Carlo estimate of P(all predicted responses <= tau) at x.
 
     Draws from Normal(m(x), q(x)*Sigma) through the symmetric matrix
-    square root; returns (estimate, binomial standard error).
+    square root; returns (estimate, binomial standard error). ``tau`` must
+    hold one finite target per response and ``n_samples`` be an integer of
+    at least 1000.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     tau = np.asarray(tau, dtype=float)
+    if tau.shape != (model.r,):
+        raise ValueError(f"tau must hold one target per response, shape ({model.r},); "
+                         f"got shape {tau.shape}")
+    if not np.isfinite(tau).all():
+        raise ValueError(f"tau must be finite, got {tau.tolist()}")
     mean, q = moments(model, x)
     root = matrix_sqrt(q * model.sigma_hat)
-    rng = np.random.default_rng(seed)
-    draws = mean + rng.standard_normal((int(n_samples), model.r)) @ root
-    p_hat = float(np.mean(np.all(draws <= tau, axis=1)))
+    draws = np.random.default_rng(seed).standard_normal((n_samples, model.r)) @ root
+    draws += mean
+    hits = draws[:, 0] <= tau[0]
+    for k in range(1, model.r):
+        hits &= draws[:, k] <= tau[k]
+    p_hat = float(np.count_nonzero(hits) / n_samples)
     std_err = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
     return p_hat, std_err

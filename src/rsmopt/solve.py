@@ -491,7 +491,9 @@ def _better(a: SolveResult, b: SolveResult) -> bool:
 
 def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:
     """Nondominated subset of the objectives' values on the region grid
-    that grid_search scores."""
+    that grid_search scores, in lexicographic order of the nodes. An
+    objective that is NaN at a node raises ``ValueError`` naming the first
+    such node: NaN compares false, so the filter would keep it."""
     if len(objectives) < 2:
         raise ValueError("need at least two objectives")
     chunks = list(_region_grid(region, resolution))
@@ -500,6 +502,10 @@ def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:
         np.stack([np.asarray(f(c), dtype=float) for f in objectives], axis=-1)
         for c in chunks
     ])
+    nan = np.isnan(vals)
+    if nan.any():
+        i, k = np.argwhere(nan)[0]
+        raise ValueError(f"objective {k} is NaN at grid node {pts[i].tolist()}")
     keep = _nondominated_mask(vals)
     points = tuple(
         (pts[i].copy(), vals[i].copy()) for i in np.flatnonzero(keep)
@@ -510,20 +516,32 @@ def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:
 def _nondominated_mask(vals: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not weakly dominated by a different row.
 
-    Rows are visited in lexicographic order, where every dominator of a row
-    comes before it. Each row not yet marked marks, in one comparison, all
-    rows it dominates; a row dominated only by marked rows is also dominated
-    by whatever marked them, so the mask is exact. Duplicates of a front
-    vector dominate none of each other and are all kept.
+    The sort-filter skyline (Chomicki, Godfrey, Gryz & Liang, "Skyline with
+    presorting", ICDE 2003): rows are visited in lexicographic order, where
+    every dominator of a row comes before it. Each row not yet marked is a
+    front member and marks all later rows it dominates; a row dominated only
+    by marked rows is also dominated by whatever marked them, so the mask is
+    exact, and the walk visits only the front's rows, jumping from one to
+    the next unmarked row. The comparison is feature-major: the sorted
+    values are one contiguous (d, N) array, and a visit compares each
+    objective's row with one elementwise pass. Duplicates of a front vector
+    dominate none of each other and are all kept.
     """
     order = np.lexsort(vals.T[::-1])
-    vals_sorted = vals[order]
-    dominated = np.zeros(len(vals_sorted), dtype=bool)
-    for i, v in enumerate(vals_sorted):
-        if dominated[i]:
-            continue
-        rest = vals_sorted[i + 1:]
-        dominated[i + 1:] |= np.all(v <= rest, axis=1) & np.any(v < rest, axis=1)
-    keep = np.zeros(len(vals), dtype=bool)
-    keep[order] = ~dominated
+    cols = vals.T.take(order, axis=1)
+    n = order.size
+    dominated = np.zeros(n + 1, dtype=bool)  # the last entry, never marked, ends the walk
+    i = 0
+    while i < n:
+        v, rest = cols[:, i], cols[:, i + 1:]
+        weak, strict = rest[0] >= v[0], rest[0] > v[0]
+        for k in range(1, len(cols)):
+            weak &= rest[k] >= v[k]
+            strict |= rest[k] > v[k]
+        weak &= strict
+        dominated[i + 1:n] |= weak
+        # argmin of a boolean array stops at its first False
+        i += 1 + int(dominated[i + 1:].argmin())
+    keep = np.zeros(n, dtype=bool)
+    keep[order] = ~dominated[:n]
     return keep

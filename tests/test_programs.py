@@ -517,6 +517,16 @@ class TestNormalQuantile:
             normal_quantile(bad)
 
 
+def reference_mc(model, x, tau, n_samples, seed):
+    """The estimator as one expression over all draws, as it was written
+    before its hits were counted one response column at a time."""
+    mean, q = fit.moments(model, x)
+    root = fit.matrix_sqrt(q * model.sigma_hat)
+    draws = mean + np.random.default_rng(seed).standard_normal((n_samples, model.r)) @ root
+    p_hat = float(np.mean(np.all(draws <= np.asarray(tau, dtype=float), axis=1)))
+    return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
+
+
 class TestJointProbability:
     def test_far_targets_give_one(self, example_model):
         x = np.zeros(3)
@@ -562,3 +572,40 @@ class TestJointProbability:
         a = joint_probability_mc(example_model, np.zeros(3), [105.0, 71.0], 5000, seed=9)
         b = joint_probability_mc(example_model, np.zeros(3), [105.0, 71.0], 5000, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("n_samples", [1000.0, 1e5, "100000", True])
+    def test_sample_count_must_be_an_integer(self, example_model, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            joint_probability_mc(example_model, np.zeros(3), TAU, n_samples, seed=0)
+
+    @pytest.mark.parametrize("tau", [[103.0], [103.0, 73.0, 80.0], [[103.0, 73.0]], 103.0])
+    def test_tau_needs_one_target_per_response(self, example_model, tau):
+        with pytest.raises(ValueError, match=r"one target per response, shape \(2,\)"):
+            joint_probability_mc(example_model, np.zeros(3), tau, 1000, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tau_must_be_finite(self, example_model, bad):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            joint_probability_mc(example_model, np.zeros(3), [103.0, bad], 1000, seed=0)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_synthetic_models_match_reference_bits(self, r):
+        rng = np.random.default_rng(r)
+        b_hat = rng.normal(size=(2, r))
+        g = rng.normal(size=(r, r))
+        model = synthetic_model(b_hat, g @ g.T + 0.1 * np.eye(r), [0.5, 0.8])
+        for x in (np.array([-0.7]), np.array([0.0]), np.array([0.4])):
+            tau = predict(model, x) + rng.normal(size=r)
+            for seed in range(4):
+                for n_samples in (1000, 4_097, 50_000):
+                    got = joint_probability_mc(model, x, tau, n_samples, seed)
+                    assert got == reference_mc(model, x, tau, n_samples, seed)
+                    assert all(type(v) is float for v in got)
+
+    def test_example_matches_reference_bits(self, example_model):
+        points = [np.zeros(3), np.array([1.0, 0.707, 0.483]), np.array([-1.0, 1.0, 1.0]),
+                  np.array([1.0, -1.0, 1.0]), np.array([0.25, -0.5, 0.75])]
+        for x in points:
+            for seed in range(6):
+                got = joint_probability_mc(example_model, x, TAU, 100_000, seed)
+                assert got == reference_mc(example_model, x, TAU, 100_000, seed)

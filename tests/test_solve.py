@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rsmopt.solve import (
     _better,
     _grid_axes,
     _grid_chunks,
+    _nondominated_mask,
     _region_grid,
     _region_rows,
     _row_nodes,
@@ -856,3 +858,43 @@ class TestParetoFront:
     def test_needs_two_objectives(self, example_model):
         with pytest.raises(ValueError):
             pareto_front([lambda x: x[..., 0]], Region.unit_cube(3), 0.5)
+
+    def test_nan_objective_names_the_first_node(self):
+        objs = [lambda x: np.where(x[..., 0] > 0.9, np.nan, x[..., 0]),
+                lambda x: -x[..., 0]]
+        with pytest.raises(ValueError, match=r"objective 0 is NaN at grid node \[1.0, -1.0\]"):
+            pareto_front(objs, Region.unit_cube(2), 0.5)
+        objs = [lambda x: x[..., 0], lambda x: np.where(x[..., 1] >= 0.0, np.nan, x[..., 1])]
+        with pytest.raises(ValueError, match=r"objective 1 is NaN at grid node \[-1.0, 0.0\]"):
+            pareto_front(objs, Region.unit_cube(2), 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(2, 4), n=st.integers(1, 300), levels=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mask_equals_pairwise_dominance(self, d, n, levels, seed):
+        """Small integer values make ties and duplicate rows common."""
+        vals = np.random.default_rng(seed).integers(0, levels, size=(n, d)).astype(float)
+        weak = np.all(vals[None, :, :] <= vals[:, None, :], axis=-1)
+        strict = np.any(vals[None, :, :] < vals[:, None, :], axis=-1)
+        assert np.array_equal(_nondominated_mask(vals), ~np.any(weak & strict, axis=1))
+
+    # sha256 over each front point's coordinates then its values, as float64
+    # bytes in front order, recorded from the row-major filter that preceded
+    # the feature-major one (numpy 2.4.6 with its bundled OpenBLAS; a BLAS
+    # that rounds the predictions differently changes the values)
+    FRONT_DIGESTS = {
+        ("cube", 0.1): (106, "6e464804a0a447c6e978282ccb860c8338e89b1bea9a00f823dda47f87e9c896"),
+        ("cube", 0.05): (274, "9543f6c2846ed9b298451fef76eec3b578b62d744a0a79ad8e98e36a8d666dfa"),
+        ("ball", 0.1): (63, "14f4352a0daa9f6992f71ead88877197761e043d4bc2b506a2b9fc9702502639"),
+    }
+
+    @pytest.mark.parametrize("region, resolution", list(FRONT_DIGESTS))
+    def test_front_keeps_its_recorded_bits(self, example_model, region, resolution):
+        objs = self.objective_sets(example_model)["weighted mean and variance"]
+        shape = Region.unit_cube(3) if region == "cube" else Region.hypersphere(1.0, dim=3)
+        front = pareto_front(objs, shape, resolution)
+        digest = hashlib.sha256()
+        for x, v in front.points:
+            digest.update(x.tobytes())
+            digest.update(v.tobytes())
+        assert (len(front.points), digest.hexdigest()) == self.FRONT_DIGESTS[region, resolution]
