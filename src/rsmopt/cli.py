@@ -267,6 +267,13 @@ def load_config(path: str | Path) -> RunConfig:
         wide = doc.get("wide", False)
         if not isinstance(wide, bool):
             raise DataError(f"wide must be true or false, got {wide!r}")
+        responses = doc.get("responses")
+        if responses is not None and (
+                not isinstance(responses, list)
+                or not all(isinstance(name, str) for name in responses)
+                or len(set(responses)) < len(responses)):
+            raise DataError(f"responses must be a list of distinct strings, "
+                            f"got {responses!r}")
         data_path = doc["data"]
         if not Path(data_path).is_absolute():
             # relative to the config file, not the working directory
@@ -277,7 +284,7 @@ def load_config(path: str | Path) -> RunConfig:
             region=region,
             methods=methods,
             fixed_points=fixed,
-            responses=doc.get("responses"),
+            responses=responses,
             wide=wide,
             solver=solver,
         )

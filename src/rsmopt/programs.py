@@ -84,6 +84,9 @@ class MethodConfig:
         if self.w is not None:
             if np.any(self.w < 0) or abs(float(np.sum(self.w)) - 1.0) > 1e-9:
                 raise ValueError("weights must be nonnegative and sum to 1")
+        for name in ("confidence", "r1", "r2", "variance_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
         if self.r1 < 0 or self.r2 < 0 or abs(self.r1 + self.r2 - 1.0) > 1e-9:

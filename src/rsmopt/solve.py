@@ -1,9 +1,10 @@
 """Minimizers for scalar programs over box or ball regions.
 
-``grid_search`` is the exhaustive oracle the tests check against. A program
-that reads ``moments`` is scored a block of grid rows at a time through its
-row scorer (``fit.row_moments``); any other program is scored through
-``program.score`` one batch of nodes at a time. The production path is
+``grid_search`` is the exhaustive oracle the tests check against. One loop
+walks the grid in blocks of whole rows of the last axis (``_region_rows``):
+a program that reads ``moments`` scores a block through its row scorer
+(``fit.row_moments``), and any other program scores the block's nodes
+inside the region through ``program.score``. The production path is
 ``multistart``: a coarse-grid incumbent and deterministic quasi-random
 starts, each followed by one local solve. For every built-in program that
 is ``slsqp``: SLSQP with the box bounds, the equality constraints given
@@ -52,8 +53,8 @@ GRID_BLOCK_BYTES = 128 * 1024
 # 2,048 nodes a (chunk, 7) block is 112 KiB. At 65,536 nodes, eight 0.02
 # grids over the example took about 293,000 minor faults per pass; at 2,048
 # they take a few dozen, and the pass takes a third of the time (chunk
-# sweep in CHANGES.md). A batch is a block of whole rows from the same
-# walker as the row path (``_region_rows``), expanded to points.
+# sweep in CHANGES.md). A batch is the nodes inside one block of whole rows
+# of ``_region_rows``, expanded to points.
 GRID_CHUNK = 2_048
 # Penalty weight the grid oracle applies to squared residuals. Balances
 # two opposing biases at the default 0.01 grid: too large and the
@@ -113,16 +114,16 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
     so within a block that is the first node within 1e-15 of the block's
     least score, and a later block wins only by more than 1e-15.
 
-    The nodes come from one walker, ``_region_rows``: blocks of whole rows
-    of the last axis (a row longer than the block in segments), on a ball
-    without the rows that miss it and with the nodes that pass the norm
-    test. A program with a row scorer (``program.rows``, set for every
-    built-in program that reads ``moments``) scores a block of at most
-    GRID_BLOCK_BYTES / (8 max(r, n)) nodes on a ball, and / (8 r) on a
-    box, from one basis evaluation at its rows' leading coordinates
-    (``fit.row_moments``). Any other program is scored through
-    ``program.score`` on blocks of at most GRID_CHUNK nodes expanded to
-    points (``_region_grid``).
+    One loop walks the blocks of ``_region_rows``: whole rows of the last
+    axis (a row longer than the block in segments), on a ball without the
+    rows that miss it and with the nodes that pass the norm test. A program
+    with a row scorer (``program.rows``, set for every built-in program
+    that reads ``moments``) scores a block of at most GRID_BLOCK_BYTES /
+    (8 max(r, n)) nodes on a ball, and / (8 r) on a box, from one basis
+    evaluation at its rows' leading coordinates (``fit.row_moments``), and
+    keeps the scores of the nodes inside. Any other program scores only
+    the nodes inside, at most GRID_CHUNK of them, through ``program.score``
+    on the block expanded to points (``_row_nodes``).
 
     A scorer forms a weighted sum over the responses as one matrix-vector
     product per block, and with the OpenBLAS kernels numpy ships that
@@ -131,25 +132,37 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
     on the tests' box and ball their block sizes give the same x*, f and
     residuals.
     """
+    region = program.region
     if program.rows is None:
-        blocks = _point_blocks(program, resolution)
+        score, block = program.score, GRID_CHUNK
     else:
-        blocks = _row_blocks(program, resolution)
+        score, width = program.rows
+        if region.kind == "hypersphere":
+            width = max(width, region.dim)   # the (nodes, n) points of the norm test
+        block = max(1, GRID_BLOCK_BYTES // (8 * width))
+    score = _penalized(score, GRID_PENALTY_WEIGHT)
     best_score = np.inf
     best_x: np.ndarray | None = None
     evaluations = 0
 
-    for scores, node in blocks:
+    for lead, t, inside in _region_rows(region, resolution, block):
+        if program.rows is None:
+            pts = _row_nodes(lead, t)
+            scores = np.asarray(score(pts if inside is None else pts[inside]), dtype=float)
+        else:
+            scores = np.asarray(score(lead, t), dtype=float)
+            if inside is not None:
+                scores = scores[inside]
         evaluations += scores.size
         idx = int(np.argmin(scores))  # the first NaN, if there is one
         s = float(scores[idx])
         if np.isnan(s):
             raise ValueError(f"{program.descriptor}: objective is NaN at grid node "
-                             f"{node(idx).tolist()}")
+                             f"{_node(lead, t, inside, idx).tolist()}")
         idx = int(np.argmax(scores <= s + 1e-15))
         s = float(scores[idx])
         if best_x is None or s < best_score - 1e-15:
-            best_score, best_x = s, node(idx)
+            best_score, best_x = s, _node(lead, t, inside, idx)
     residuals = _residuals_at(program, best_x)
     return SolveResult(
         x_star=best_x,
@@ -160,33 +173,11 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
     )
 
 
-def _point_blocks(program: ScalarProgram, resolution: float):
-    """(scores, node) per batch of ``_region_grid``; ``node(i)`` is a copy
-    of the batch's i-th point."""
-    score = _penalized(program.score, GRID_PENALTY_WEIGHT)
-    for pts in _region_grid(program.region, resolution):
-        yield np.asarray(score(pts), dtype=float), lambda i, pts=pts: pts[i].copy()
-
-
-def _row_blocks(program: ScalarProgram, resolution: float):
-    """(scores, node) per block of ``_region_rows``, scored by the program's
-    row scorer; ``node(i)`` is the block's i-th scored node."""
-    score_rows, width = program.rows
-    score = _penalized(score_rows, GRID_PENALTY_WEIGHT)
-    region = program.region
-    if region.kind == "hypersphere":
-        width = max(width, region.dim)   # the (nodes, n) points of the norm test
-    block = max(1, GRID_BLOCK_BYTES // (8 * width))
-    for lead, t, inside in _region_rows(region, resolution, block):
-        scores = np.asarray(score(lead, t), dtype=float)
-        if inside is not None:
-            scores = scores[inside]
-
-        def node(i, lead=lead, t=t, inside=inside):
-            row, j = divmod(int(i if inside is None else inside[i]), t.size)
-            return np.append(lead[row], t[j])
-
-        yield scores, node
+def _node(lead: np.ndarray, t: np.ndarray, inside: np.ndarray | None, i: int) -> np.ndarray:
+    """The i-th scored node of a block of ``_region_rows``: the i-th node
+    (lead_row, t_j) of its rows, or on a ball the i-th node inside."""
+    row, j = divmod(int(i if inside is None else inside[i]), t.size)
+    return np.append(lead[row], t[j])
 
 
 def _grid_axes(region: Region, resolution: float) -> list[np.ndarray]:
@@ -228,22 +219,27 @@ def _region_rows(region: Region, resolution: float, block: int):
     """Yield the grid nodes inside the region, in lexicographic order, as
     (lead, t, inside): the nodes (lead_i, t_j) of whole rows of the last
     axis, at most ``block`` of them, with the leading coordinates ``lead``
-    (rows, n-1) decoded by ``_grid_chunks`` and ``t`` a slice of the last
-    axis, which is the whole axis unless a row is longer than ``block``.
-    ``inside`` is None on a box. On a ball the rows with no node in it are
-    dropped from ``lead``, ``inside`` is the flat indices of the remaining
-    nodes with ||x||^2 <= radius^2, summed over a row-major (k, n) array
-    (einsum's row sums round differently on a column-major one when
-    n >= 3), and a block with none is skipped."""
+    (rows, n-1) and ``t`` a slice of the last axis, which is the whole axis
+    unless a row is longer than ``block``. ``lead`` is decoded from the row
+    indices (``np.unravel_index``) into a feature-major array, and a
+    one-factor grid has one empty row. ``inside`` is None on a box. On a
+    ball the rows with no node in it are dropped from ``lead``, ``inside``
+    is the flat indices of the remaining nodes with ||x||^2 <= radius^2,
+    summed over a row-major (k, n) array (einsum's row sums round
+    differently on a column-major one when n >= 3), and a block with none
+    is skipped."""
     axes = _grid_axes(region, resolution)
-    last = axes[-1]
+    *lead_axes, last = axes
+    sizes = [a.size for a in lead_axes]
     segments = [last[i:i + block] for i in range(0, last.size, block)]
-    if len(axes) == 1:
-        leads = [np.empty((1, 0))]
-    else:
-        leads = _grid_chunks(axes[:-1], max(1, block // last.size))
+    total = math.prod(sizes)
+    per_block = max(1, block // last.size)
     found = False
-    for lead in leads:
+    for start in range(0, total, per_block):
+        stop = min(start + per_block, total)
+        index = np.unravel_index(np.arange(start, stop), sizes) if sizes else ()
+        lead = np.array([a.take(i) for a, i in zip(lead_axes, index)])
+        lead = lead.reshape(-1, stop - start).T
         for t in segments:
             rows, inside = lead, None
             if region.kind == "hypersphere":
@@ -269,47 +265,6 @@ def _region_rows(region: Region, resolution: float, block: int):
     if not found:
         raise ValueError(f"no grid node at resolution {resolution:g} "
                          f"lies inside the region")
-
-
-def _grid_chunks(axes: list[np.ndarray], chunk: int):
-    """Yield grid points in lexicographic order, in blocks of at most
-    ``chunk`` rows; ``_region_rows`` decodes the leading coordinates of its
-    row blocks with it.
-
-    The last axis varies fastest, so a block is a run of whole or partial
-    rows of it: its last coordinates are one slice of that axis tiled once
-    per grid, and each other coordinate is decoded once per row the block
-    touches and repeated over that row's nodes. Blocks are not aligned to
-    rows, so a row longer than ``chunk`` still comes in blocks of
-    ``chunk``. The coordinates are filled feature-major, one contiguous
-    row per axis, and each block is yielded as the (rows, n) transpose of
-    that array.
-    """
-    n = len(axes)
-    sizes = [a.size for a in axes]
-    total = math.prod(sizes)
-    last = sizes[-1]
-    # every block's last coordinates are one slice of this copy; a grid of
-    # one row is its own copy
-    tiled = axes[-1]
-    if total > last:
-        tiled = np.resize(tiled, min(total, last + chunk - 1))
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        row, offset = divmod(start, last)
-        coords = np.empty((n, stop - start))
-        coords[-1] = tiled[offset:offset + stop - start]
-        if n > 1:
-            # the rows the block touches, and how many of its nodes lie in each
-            rows = np.arange(row, (stop - 1) // last + 1)
-            counts = np.full(rows.size, last)
-            counts[0] -= offset
-            counts[-1] -= (rows[-1] + 1) * last - stop
-            for i in range(n - 2, 0, -1):
-                rows, idx = np.divmod(rows, sizes[i])
-                coords[i] = axes[i].take(idx).repeat(counts)
-            coords[0] = axes[0].take(rows).repeat(counts)
-        yield coords.T
 
 
 def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10) -> SolveResult:

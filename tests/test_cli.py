@@ -521,6 +521,42 @@ def test_bad_method_field_is_data_error_naming_the_method(small_config, method,
         assert f"method {method['name']!r}: {message}" in err
 
 
+@pytest.mark.parametrize("field", ["confidence", "r1", "r2", "variance_scale"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_method_field_is_data_error_naming_the_method(small_config, field,
+                                                                 bad, capsys, no_solve):
+    """JSON's NaN and Infinity reach MethodConfig as floats; before any
+    solve they exit 2, not 0 with F = inf or 3 with a NaN objective."""
+    doc = json.loads(small_config.read_text())
+    doc["methods"] = [{"name": "modified-e-weighting", "w": [0.5, 0.5], field: bad}]
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"data error: bad config {small_config}: method 'modified-e-weighting': "
+        f"{field} must be finite"]
+
+
+@pytest.mark.parametrize("responses", [5, "Y1", ["Y1", 2], ["Y1", "Y1", "Y2"]],
+                         ids=["number", "string", "non-string entry", "duplicate"])
+def test_responses_must_be_a_list_of_distinct_strings(small_config, responses, capsys,
+                                                      no_solve):
+    doc = json.loads(small_config.read_text())
+    doc["responses"] = responses
+    small_config.write_text(json.dumps(doc))
+    for command in ("fit", "report"):
+        argv = [command, "--config", str(small_config)]
+        if command == "fit":
+            argv += ["--out", str(small_config.with_name("m.json"))]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert f"responses must be a list of distinct strings, got {responses!r}" in err
+
+
 @pytest.mark.parametrize("wide", ["false", "true", 1, None])
 def test_wide_must_be_a_boolean(small_config, wide, capsys):
     doc = json.loads(small_config.read_text())

@@ -79,6 +79,14 @@ class TestMethodConfig:
         with pytest.raises(ValueError):
             MethodConfig(r1=0.7, r2=0.7)
 
+    @pytest.mark.parametrize("field", ["confidence", "r1", "r2", "variance_scale"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_scalar(self, field, bad):
+        """NaN compares false, so a range check alone lets it through, and
+        an infinite variance_scale is positive."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MethodConfig(**{field: bad})
+
     @pytest.mark.parametrize("name", sorted(METHOD_CONSTRUCTORS))
     @pytest.mark.parametrize("field, value, message", [
         ("tau", [103.0], "tau must have one entry per response (2), got [103.0]"),

@@ -27,7 +27,6 @@ from rsmopt.solve import (
     SolveResult,
     _better,
     _grid_axes,
-    _grid_chunks,
     _nondominated_mask,
     _region_grid,
     _region_rows,
@@ -48,17 +47,6 @@ def constant_program():
         region=Region.unit_cube(3),
         descriptor="constant",
     )
-
-
-@st.composite
-def grid_axes(draw):
-    """1-4 axes of 1-12 distinct nodes each, the last one sometimes longer
-    than the chunk, and a chunk size of 1-60 rows."""
-    chunk = draw(st.integers(1, 60))
-    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
-    if draw(st.booleans()):
-        sizes[-1] = draw(st.integers(chunk + 1, 2 * chunk + 12))
-    return [np.arange(size) + 100.0 * i for i, size in enumerate(sizes)], chunk
 
 
 @st.composite
@@ -106,24 +94,6 @@ class TestGridSearch:
             grid_search(program, 0.1)
         with pytest.raises(ValueError, match="grid too large"):
             pareto_front([program.objective] * 2, program.region, 0.1)
-
-    def test_chunks_keep_lexicographic_order_at_any_size(self):
-        axes = [np.linspace(-1, 1, 5), np.linspace(0, 1, 3), np.linspace(-2, 2, 7)]
-        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        for chunk in (7, GRID_CHUNK):
-            got = np.concatenate(list(_grid_chunks(axes, chunk)))
-            assert np.array_equal(got, want)
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=grid_axes())
-    def test_chunks_decode_the_meshgrid_order(self, case):
-        axes, chunk = case
-        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        blocks = list(_grid_chunks(axes, chunk))
-        full, rest = divmod(len(want), chunk)
-        assert [len(b) for b in blocks] == [chunk] * full + [rest] * (rest > 0)
-        assert all(b.shape[1] == len(axes) for b in blocks)
-        assert np.array_equal(np.concatenate(blocks), want)
 
     @settings(max_examples=150, deadline=None)
     @given(case=region_grids())
@@ -184,6 +154,19 @@ class TestGridSearch:
             chunks = list(_region_grid(region, 0.25))
             assert all(len(c) for c in chunks)
             assert np.array_equal(np.concatenate(chunks), want)
+
+    def test_point_path_scores_only_the_nodes_inside_the_ball(self):
+        """A log barrier at the unit sphere: log of a negative number warns,
+        and the warning fails the test, at every grid node outside the
+        ball, so the point path must never score one."""
+        program = ScalarProgram(
+            objective=lambda x: -np.log(1 + 1e-9 - (x * x).sum(axis=-1)),
+            region=Region.hypersphere(1.0, dim=3),
+            descriptor="log barrier",
+        )
+        res = grid_search(program, 0.1)
+        assert res.x_star.tolist() == [0.0, 0.0, 0.0]
+        assert res.evaluations == sum(len(c) for c in _region_grid(program.region, 0.1))
 
     def test_nan_objective_is_rejected(self):
         all_nan = ScalarProgram(
