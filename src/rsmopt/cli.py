@@ -54,10 +54,43 @@ METHOD_CONSTRUCTORS = {
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _read_csv(path: Path) -> tuple[list[str], list[str], list[dict]]:
-    """Header, its x1..xn columns in numeric order, and the rows of a CSV
-    file; header names are stripped, and rows are keyed by the stripped
-    names. Factor columns must be numbered 1..n without a gap."""
+def ingest_csv(path: str | Path, response_order: list[str] | None = None) -> ExperimentData:
+    """Read long-format data: run_id,x1..xn,response,replicate,value.
+
+    Responses are ordered by first appearance unless overridden.
+    """
+    return _read_csv(Path(path), "run_id", _long_layout, response_order)
+
+
+def ingest_csv_wide(path: str | Path, response_order: list[str] | None = None) -> ExperimentData:
+    """Read wide-format data: ID,x1..xn,<resp>_1..<resp>_m per response."""
+    return _read_csv(Path(path), "ID", _wide_layout, response_order)
+
+
+def _long_layout(path: Path, header: list[str]):
+    """One (response, replicate, value) cell per row."""
+    missing = {"run_id", "response", "replicate", "value"} - set(header)
+    if missing:
+        raise DataError(f"{path}: missing columns {sorted(missing)}")
+    return lambda row: [(row["response"].strip(), int(row["replicate"]),
+                         float(row["value"]))]
+
+
+def _wide_layout(path: Path, header: list[str]):
+    """A cell per <response>_<replicate> column."""
+    if "ID" not in header:
+        raise DataError(f"{path}: wide format needs ID and x1..xn columns")
+    rep_cols = [(h, *h.rsplit("_", 1)) for h in header if "_" in h]
+    if not rep_cols:
+        raise DataError(f"{path}: no response replicate columns")
+    return lambda row: [(name, int(rep), float(row[h])) for h, name, rep in rep_cols]
+
+
+def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData:
+    """The data of a CSV file whose rows each give a run id in ``id_col``,
+    factor settings in x1..xn (numbered without a gap) and the cells that
+    ``layout(path, header)`` maps a row to, once it has checked the
+    stripped header. A bad or missing cell is a DataError naming its line."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
@@ -65,105 +98,57 @@ def _read_csv(path: Path) -> tuple[list[str], list[str], list[dict]]:
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
         header = reader.fieldnames = [h.strip() for h in reader.fieldnames]
-        rows = list(reader)
-    x_cols = sorted(
-        (h for h in header if h.startswith("x") and h[1:].isdigit()),
-        key=lambda h: int(h[1:]),
-    )
-    if [int(h[1:]) for h in x_cols] != list(range(1, len(x_cols) + 1)):
-        raise DataError(f"{path}: factor columns must be x1..xn")
-    return header, x_cols, rows
-
-
-def ingest_csv(path: str | Path, response_order: list[str] | None = None) -> ExperimentData:
-    """Read long-format data: run_id,x1..xn,response,replicate,value.
-
-    Responses are ordered by first appearance unless overridden.
-    """
-    path = Path(path)
-    header, x_cols, table = _read_csv(path)
-    required = {"run_id", "response", "replicate", "value"}
-    missing = required - set(header)
-    if missing or not x_cols:
-        raise DataError(f"{path}: missing columns {sorted(missing) or 'x1..xn'}")
-
-    rows = []
-    for lineno, row in enumerate(table, start=2):
-        try:
-            run_id = int(row["run_id"])
-            x = tuple(float(row[c]) for c in x_cols)
-            resp = row["response"].strip()
-            rep = int(row["replicate"])
-            value = float(row["value"])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
-        rows.append((run_id, x, resp, rep, value))
+        x_cols = sorted(
+            (h for h in header if h.startswith("x") and h[1:].isdigit()),
+            key=lambda h: int(h[1:]),
+        )
+        if not x_cols or [int(h[1:]) for h in x_cols] != list(range(1, len(x_cols) + 1)):
+            raise DataError(f"{path}: factor columns must be x1..xn")
+        cells_of = layout(path, header)
+        rows = []
+        for row in reader:
+            try:
+                if None in row.values():  # csv's filler for a short row
+                    raise ValueError(f"fewer than {len(header)} cells")
+                run = (int(row[id_col]), tuple(float(row[c]) for c in x_cols))
+                rows += [(run, cell) for cell in cells_of(row)]
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{reader.line_num}: bad row ({exc})") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return _assemble(rows, response_order, str(path))
+    return _assemble(rows, response_order, path)
 
 
-def ingest_csv_wide(path: str | Path, response_order: list[str] | None = None) -> ExperimentData:
-    """Read wide-format data: ID,x1..xn,<resp>_1..<resp>_m per response."""
-    path = Path(path)
-    header, x_cols, table = _read_csv(path)
-    if "ID" not in header or not x_cols:
-        raise DataError(f"{path}: wide format needs ID and x1..xn columns")
-    rep_cols = [h for h in header if "_" in h and h not in x_cols]
-    responses: list[str] = []
-    for h in rep_cols:
-        name = h.rsplit("_", 1)[0]
-        if name not in responses:
-            responses.append(name)
-    if not responses:
-        raise DataError(f"{path}: no response replicate columns")
-    rows = []
-    for lineno, row in enumerate(table, start=2):
-        try:
-            run_id = int(row["ID"])
-            x = tuple(float(row[c]) for c in x_cols)
-            for h in rep_cols:
-                name, rep = h.rsplit("_", 1)
-                rows.append((run_id, x, name, int(rep), float(row[h])))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad row ({exc})") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return _assemble(rows, response_order, str(path))
-
-
-def _assemble(rows, response_order, origin: str) -> ExperimentData:
-    responses: list[str] = []
-    for _, _, resp, _, _ in rows:
-        if resp not in responses:
-            responses.append(resp)
-    if response_order:
-        if set(response_order) != set(responses):
-            raise DataError(f"{origin}: response order {response_order} does not "
-                            f"match observed responses {responses}")
-        responses = list(response_order)
-    by_run: dict[int, dict] = {}
-    for run_id, x, resp, rep, value in rows:
-        entry = by_run.setdefault(run_id, {"x": x, "obs": {}})
-        if entry["x"] != x:
+def _assemble(rows, response_order, origin: Path) -> ExperimentData:
+    """The runs in id order. Each run's factor settings must agree, and its
+    replicate x response table must have every cell exactly once."""
+    responses = list(dict.fromkeys(resp for _, (resp, _, _) in rows))
+    if response_order and (len(response_order) != len(responses)
+                           or set(response_order) != set(responses)):
+        raise DataError(f"{origin}: response order {response_order} does not "
+                        f"match observed responses {responses}")
+    responses = list(response_order or responses)
+    by_run: dict[int, tuple[tuple, dict]] = {}
+    for (run_id, x), (resp, rep, value) in rows:
+        settings, cells = by_run.setdefault(run_id, (x, {}))
+        if settings != x:
             raise DataError(f"{origin}: run {run_id} has inconsistent factor settings")
-        entry["obs"].setdefault(resp, {})[rep] = value
+        cells.setdefault((rep, resp), []).append(value)
     runs = []
     for run_id in sorted(by_run):
-        entry = by_run[run_id]
-        reps_per_resp = {resp: sorted(d) for resp, d in entry["obs"].items()}
-        for resp in responses:
-            if resp not in reps_per_resp or not reps_per_resp[resp]:
-                raise DataError(f"{origin}: run {run_id} has no replicates for {resp}")
-        rep_ids = reps_per_resp[responses[0]]
-        for resp in responses[1:]:
-            if reps_per_resp[resp] != rep_ids:
-                raise DataError(f"{origin}: run {run_id} replicate sets differ "
-                                f"between responses")
-        y = np.array(
-            [[entry["obs"][resp][rep] for resp in responses] for rep in rep_ids]
-        )
-        runs.append(Run(run_id=run_id, x=np.array(entry["x"]), y=y))
+        x, cells = by_run[run_id]
+        y = []
+        for rep in sorted({rep for rep, _ in cells}):
+            y.append([])
+            for resp in responses:
+                values = cells.get((rep, resp), [])
+                if len(values) != 1:
+                    fault = ("is repeated" if values else
+                             "is missing: replicate sets differ between responses")
+                    raise DataError(f"{origin}: run {run_id}, response {resp}, "
+                                    f"replicate {rep} {fault}")
+                y[-1].append(values[0])
+        runs.append(Run(run_id=run_id, x=np.array(x), y=np.array(y)))
     return ExperimentData(runs=tuple(runs), response_names=tuple(responses))
 
 

@@ -242,10 +242,6 @@ class ExperimentData:
         return self.runs[0].x.size
 
     @property
-    def n_responses(self) -> int:
-        return self.runs[0].y.shape[1]
-
-    @property
     def n_observations(self) -> int:
         """Total replicate count = row count of the expanded design matrix."""
         return sum(run.y.shape[0] for run in self.runs)

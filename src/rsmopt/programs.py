@@ -10,8 +10,8 @@ s_k(x) = sqrt(q(x) * sigma_kk) its prediction standard deviation.
 Each constructor defines its method once, as a function ``fn(m, q)`` of the
 moments that returns the objective and every equality residual, and
 ``_program`` composes it with one ``moments`` call per batch: that
-composition is the program's ``score``, which the solvers call, and its
-``objective`` and ``eq_constraints`` are the components. The same ``fn``
+composition is the program's ``scorer``, which the solvers call through
+``score``, and its ``objective`` and ``eq_constraints`` are the components. The same ``fn``
 composed with ``row_moments`` scores whole rows of a grid for the oracle.
 modified-e-epsilon is the one exception: it reads (m, q) through
 ``predict`` and ``unit_variance`` (its docstring says why) and has no row
@@ -104,21 +104,22 @@ class ScalarProgram:
     """Objective, equality constraints (== 0) and region for one method.
 
     ``score`` returns the objective and every equality residual from one
-    evaluation at a batch; the solvers score through it. A program built
-    by hand may give only ``objective`` and ``eq_constraints``, and its
-    score is then composed from them (and recomposed when
-    ``dataclasses.replace`` swaps them). ``smooth`` declares the objective
-    and constraints continuously differentiable in x, which lets a local
-    solver use gradients; a program built by hand keeps the
-    derivative-free default. ``goals``, set only by ``goal_programming``,
-    is ``(gap, w)``: the objective is ``|gap(x)| @ w`` for a smooth
-    ``gap`` from a batch to its (batch, r) deviations from the targets,
-    which the local solver uses in deviation-variable form. ``rows``, set
-    by ``_program`` for a program that reads ``moments``, is
-    ``(score_rows, r)``: ``score_rows(lead, t)`` gives what ``score`` gives
-    at the grid nodes (lead_i, t_j) in lexicographic order, for leading
-    coordinates ``lead`` (rows, n-1) and last-axis nodes ``t``, and r, the
-    width of its (nodes, r) means, sizes the blocks ``grid_search`` scores.
+    evaluation at a batch; the solvers score through it. It calls
+    ``scorer``, which every built-in program sets. A program built by hand
+    may give only ``objective`` and ``eq_constraints``, and ``score`` then
+    calls those, including ones that ``dataclasses.replace`` swaps in.
+    ``smooth`` declares the objective and constraints continuously
+    differentiable in x, which lets a local solver use gradients; a
+    program built by hand keeps the derivative-free default. ``goals``,
+    set only by ``goal_programming``, is ``(gap, w)``: the objective is
+    ``|gap(x)| @ w`` for a smooth ``gap`` from a batch to its (batch, r)
+    deviations from the targets, which the local solver uses in
+    deviation-variable form. ``rows``, set by ``_program`` for a program
+    that reads ``moments``, is ``(score_rows, r)``: ``score_rows(lead, t)``
+    gives what ``score`` gives at the grid nodes (lead_i, t_j) in
+    lexicographic order, for leading coordinates ``lead`` (rows, n-1) and
+    last-axis nodes ``t``, and r, the width of its (nodes, r) means, sizes
+    the blocks ``grid_search`` scores.
     """
 
     objective: Callable[[np.ndarray], np.ndarray]
@@ -126,23 +127,14 @@ class ScalarProgram:
     descriptor: str
     eq_constraints: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(default=())
     smooth: bool = False
-    score: Score | None = None
+    scorer: Score | None = None
     goals: tuple[Callable[[np.ndarray], np.ndarray], np.ndarray] | None = None
     rows: tuple[Callable[[np.ndarray, np.ndarray], tuple], int] | None = None
 
-    def __post_init__(self) -> None:
-        if self.score is None or getattr(self.score, "composed", False):
-            object.__setattr__(self, "score",
-                               _composed_score(self.objective, self.eq_constraints))
-
-
-def _composed_score(objective, eq_constraints) -> Score:
-    """The score of a program given as separate callables."""
-    def score(x):
-        return objective(x), tuple(c(x) for c in eq_constraints)
-
-    score.composed = True
-    return score
+    def score(self, x):
+        if self.scorer is not None:
+            return self.scorer(x)
+        return self.objective(x), tuple(c(x) for c in self.eq_constraints)
 
 
 def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
@@ -151,10 +143,10 @@ def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
     """A built-in program over the unit cube unless ``region`` is given:
     ``fn(m, q)`` gives the objective and ``n_eq`` residuals, and its (m, q)
     come from one ``moments`` call per batch unless ``read(x)`` is given.
-    The objective and each constraint read the composed ``score``. A program
-    that reads ``moments`` also scores grid rows, ``fn`` of one
+    The objective and each constraint read the program's ``scorer``. A
+    program that reads ``moments`` also scores grid rows, ``fn`` of one
     ``row_moments`` call per block of rows; one given ``read`` keeps only
-    ``score``."""
+    ``scorer``."""
     rows = None
     if read is None:
         read = lambda x: moments(model, x)
@@ -170,7 +162,7 @@ def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
     return ScalarProgram(
         objective=lambda x: score(x)[0],
         eq_constraints=tuple(constraint(k) for k in range(n_eq)),
-        score=score,
+        scorer=score,
         region=region if region is not None else Region.unit_cube(model.n),
         descriptor=descriptor,
         smooth=smooth,

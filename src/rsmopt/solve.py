@@ -57,7 +57,8 @@ GRID_BLOCK_BYTES = 128 * 1024
 # of ``_region_rows``, expanded to points.
 GRID_CHUNK = 2_048
 # Penalty weight the grid oracle applies to squared residuals. Balances
-# two opposing biases at the default 0.01 grid: too large and the
+# two opposing biases at the resolutions in use (0.1 for the coarse grid of
+# ``multistart``, 0.02 for the benchmark's oracle): too large and the
 # half-step discretization residual swamps the objective; too small and
 # the oracle undercuts the constrained minimum by trading violation for
 # objective.
@@ -267,7 +268,7 @@ def _region_rows(region: Region, resolution: float, block: int):
                          f"lies inside the region")
 
 
-def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10) -> SolveResult:
+def nelder_mead(program: ScalarProgram, x0) -> SolveResult:
     """Bound-clipped simplex polish; never returns a point worse than x0."""
     from scipy.optimize import minimize  # imported on first use: scipy loads slowly
 
@@ -286,7 +287,7 @@ def nelder_mead(program: ScalarProgram, x0, tol: float = 1e-10) -> SolveResult:
         x0,
         method="Nelder-Mead",
         bounds=list(zip(lo, hi)),
-        options={"fatol": tol, "xatol": 1e-10, "maxfev": 100_000},
+        options={"fatol": 1e-10, "xatol": 1e-10, "maxfev": 100_000},
     )
     x_best = region.clip(np.asarray(res.x, dtype=float))
     f_best = float(fn(x_best))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LONG_CSV, RAW_RUNS, WIDE_CSV
 from rsmopt import cli
@@ -28,6 +30,14 @@ def write_csv(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def assert_same_data(got, want):
+    assert got.response_names == want.response_names
+    assert [run.run_id for run in got.runs] == [run.run_id for run in want.runs]
+    for a, b in zip(got.runs, want.runs):
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
 
 
 class TestIngestLong:
@@ -92,13 +102,8 @@ class TestIngestLong:
 
 class TestIngestWide:
     def test_matches_long_format(self):
-        wide = ingest_csv_wide(WIDE_CSV, response_order=["Y1", "Y2"])
-        long = ingest_csv(LONG_CSV, response_order=["Y1", "Y2"])
-        assert wide.response_names == long.response_names
-        for a, b in zip(wide.runs, long.runs):
-            assert a.run_id == b.run_id
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
+        assert_same_data(ingest_csv_wide(WIDE_CSV, response_order=["Y1", "Y2"]),
+                         ingest_csv(LONG_CSV, response_order=["Y1", "Y2"]))
 
     def test_bad_response_order(self):
         with pytest.raises(DataError, match="does not"):
@@ -125,14 +130,56 @@ def test_factor_columns_with_a_gap_are_rejected(tmp_path, reader, text):
 def test_padded_header_loads_the_same_data(tmp_path, reader, path):
     header, body = path.read_text().split("\n", 1)
     padded = write_csv(tmp_path, "padded.csv", " , ".join(header.split(",")) + "\n" + body)
-    want = reader(path, response_order=["Y1", "Y2"])
-    got = reader(padded, response_order=["Y1", "Y2"])
-    assert got.response_names == want.response_names
-    assert len(got.runs) == len(want.runs)
-    for a, b in zip(got.runs, want.runs):
-        assert a.run_id == b.run_id
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.y, b.y)
+    assert_same_data(reader(padded, response_order=["Y1", "Y2"]),
+                     reader(path, response_order=["Y1", "Y2"]))
+
+
+@pytest.mark.parametrize("reader, path", [(ingest_csv, LONG_CSV),
+                                          (ingest_csv_wide, WIDE_CSV)])
+def test_repeated_name_in_response_order_is_data_error(reader, path):
+    with pytest.raises(DataError, match="does not"):
+        reader(path, response_order=["Y1", "Y1", "Y2"])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def replicated_tables(draw):
+    """Response names and runs (id, factor settings, replicate x response
+    values) of a table that both layouts can hold."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(["Y1", "Y2", "yield", "y_b"]),
+                          min_size=1, max_size=3, unique=True))
+    m = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=6, unique=True))
+    runs = [(run_id, draw(st.lists(FINITE, min_size=n, max_size=n)),
+             draw(st.lists(st.lists(FINITE, min_size=len(names), max_size=len(names)),
+                           min_size=m, max_size=m)))
+            for run_id in ids]
+    return n, names, runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=replicated_tables(), data=st.data())
+def test_both_layouts_of_a_table_ingest_the_same(tmp_path_factory, table, data):
+    n, names, runs = table
+    x_head = ",".join(f"x{i + 1}" for i in range(n))
+    long_rows = [",".join(map(repr, [run_id, *x])) + f",{name},{rep + 1},{y[rep][k]!r}"
+                 for run_id, x, y in runs for rep in range(len(y))
+                 for k, name in enumerate(names)]
+    wide_rows = [",".join(map(repr, [run_id, *x, *np.transpose(y).ravel().tolist()]))
+                 for run_id, x, y in runs]
+    m = len(runs[0][2])
+    wide_head = ",".join(f"{name}_{rep + 1}" for name in names for rep in range(m))
+    folder = tmp_path_factory.mktemp("layouts")
+    long = write_csv(folder, "long.csv", "\n".join(
+        [f"run_id,{x_head},response,replicate,value", *data.draw(st.permutations(long_rows))]))
+    wide = write_csv(folder, "wide.csv", "\n".join(
+        [f"ID,{x_head},{wide_head}", *data.draw(st.permutations(wide_rows))]))
+    got = ingest_csv(long, response_order=names)
+    assert_same_data(got, ingest_csv_wide(wide, response_order=names))
+    assert [(run.run_id, run.x.tolist(), run.y.tolist()) for run in got.runs] == sorted(runs)
 
 
 class TestModelPersistence:
@@ -555,6 +602,32 @@ def test_responses_must_be_a_list_of_distinct_strings(small_config, responses, c
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert f"responses must be a list of distinct strings, got {responses!r}" in err
+
+
+def fit_on(config, tmp_path, text, wide):
+    """rsmopt fit's exit code with ``text`` as the config's data."""
+    doc = json.loads(config.read_text())
+    doc.update(data=str(write_csv(tmp_path, "data.csv", text)), wide=wide)
+    config.write_text(json.dumps(doc))
+    return main(["fit", "--config", str(config), "--out", str(tmp_path / "model.json")])
+
+
+@pytest.mark.parametrize("wide, path, row", [
+    (False, LONG_CSV, "8,1,1,1,Y1,1,999.0"),
+    (True, WIDE_CSV, "8,1,1,1,999.0,105.03,99.79,104.92,76.90,77.03,67.99,75.77"),
+], ids=["long", "wide"])
+def test_repeated_observation_is_data_error(small_config, tmp_path, wide, path, row,
+                                            capsys):
+    assert fit_on(small_config, tmp_path, path.read_text() + row + "\n", wide) == 2
+    assert "run 8, response Y1, replicate 1 is repeated" in capsys.readouterr().err
+
+
+def test_long_row_that_stops_before_its_response_is_data_error(small_config, tmp_path,
+                                                               capsys):
+    text = LONG_CSV.read_text()
+    assert fit_on(small_config, tmp_path, text + "9,1,1,1\n", False) == 2
+    line = len(text.splitlines()) + 1
+    assert f"data.csv:{line}: bad row" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("wide", ["false", "true", 1, None])

@@ -413,7 +413,7 @@ class TestSlsqp:
             batches.append(np.array(x))
             return prog.score(x)
 
-        res = slsqp(dataclasses.replace(prog, score=score), np.array([0.2, -0.3, 0.4]))
+        res = slsqp(dataclasses.replace(prog, scorer=score), np.array([0.2, -0.3, 0.4]))
         assert all(b.shape == (4, 3) for b in batches)
         assert res.evaluations == 4 * len(batches)
         # SLSQP asks for the objective, the constraints and both
@@ -635,7 +635,7 @@ class TestPenaltySolve:
         )
         batches = []
         recording = dataclasses.replace(
-            prog, score=lambda x: batches.append(np.shape(x)) or prog.score(x))
+            prog, scorer=lambda x: batches.append(np.shape(x)) or prog.score(x))
         x0 = grid_search(prog, 0.1).x_star
         res = penalty_solve(recording, x0)
         # SLSQP ends at its limit of 100 iterations, each scoring its point
