@@ -46,9 +46,7 @@ from .solve import (
     SolveResult,
     grid_search,
     multistart,
-    nelder_mead,
     pareto_front,
-    penalty_solve,
     slsqp,
 )
 

@@ -90,14 +90,20 @@ def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData
     """The data of a CSV file whose rows each give a run id in ``id_col``,
     factor settings in x1..xn (numbered without a gap) and the cells that
     ``layout(path, header)`` maps a row to, once it has checked the
-    stripped header. A bad or missing cell is a DataError naming its line."""
+    stripped header. A bad or missing cell, or a line the csv module cannot
+    parse (a cell past its field size limit, say), is a DataError naming
+    its line."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        try:
+            fieldnames = reader.fieldnames
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.reader.line_num}: bad header ({exc})") from exc
+        if fieldnames is None:
             raise DataError(f"{path}: empty file")
-        header = reader.fieldnames = [h.strip() for h in reader.fieldnames]
+        header = reader.fieldnames = [h.strip() for h in fieldnames]
         x_cols = sorted(
             (h for h in header if h.startswith("x") and h[1:].isdigit()),
             key=lambda h: int(h[1:]),
@@ -106,14 +112,15 @@ def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData
             raise DataError(f"{path}: factor columns must be x1..xn")
         cells_of = layout(path, header)
         rows = []
-        for row in reader:
-            try:
+        try:
+            for row in reader:
                 if None in row.values():  # csv's filler for a short row
                     raise ValueError(f"fewer than {len(header)} cells")
                 run = (int(row[id_col]), tuple(float(row[c]) for c in x_cols))
                 rows += [(run, cell) for cell in cells_of(row)]
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{reader.line_num}: bad row ({exc})") from exc
+        except (csv.Error, TypeError, ValueError) as exc:
+            # DictReader's own line_num stops at its last whole row
+            raise DataError(f"{path}:{reader.reader.line_num}: bad row ({exc})") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
     return _assemble(rows, response_order, path)
@@ -306,8 +313,9 @@ def model_to_doc(model: FittedModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> FittedModel:
-    """Inverse of model_to_doc; DataError for a missing key or an array
-    whose shape does not match p, r and N."""
+    """Inverse of model_to_doc; DataError for a missing key, an array whose
+    shape does not match p, r and N, or a non-finite entry (JSON's NaN and
+    Infinity tokens, which ``json.load`` accepts)."""
     try:
         terms = TermSpec.from_names(doc["terms"], int(doc["n"]))
         p, r, n_obs = terms.p, int(doc["r"]), int(doc["N"])
@@ -324,6 +332,8 @@ def model_from_doc(doc: dict) -> FittedModel:
         if arrays[key].shape != shape:
             raise DataError(f"model {key} has shape {arrays[key].shape}, "
                             f"expected {shape}")
+        if not np.isfinite(arrays[key]).all():
+            raise DataError(f"model {key} has a non-finite entry")
     return FittedModel(terms=terms, n_obs=n_obs, **arrays)
 
 

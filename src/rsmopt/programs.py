@@ -61,7 +61,8 @@ class MethodConfig:
     scalarized objectives; it defaults to 1 and is only ever set
     explicitly (the worked example uses N because q scales as 1/N for an
     orthogonal design). Fields are named as the config's method keys; each
-    constructor checks that a config fits its model (see ``_require``).
+    constructor checks that a config fits its model (see ``_require``). A
+    bool is not a number here: one in a numeric field is a ValueError.
     """
 
     tau: np.ndarray | None = None
@@ -77,6 +78,9 @@ class MethodConfig:
         for name in ("tau", "w", "epsilon"):
             v = getattr(self, name)
             if v is not None:
+                if any(isinstance(e, (bool, np.bool_))
+                       for e in np.asarray(v, dtype=object).flat):
+                    raise ValueError(f"{name} must hold numbers, not booleans")
                 v = np.asarray(v, dtype=float)
                 if not np.all(np.isfinite(v)):
                     raise ValueError(f"{name} must be finite")
@@ -85,7 +89,10 @@ class MethodConfig:
             if np.any(self.w < 0) or abs(float(np.sum(self.w)) - 1.0) > 1e-9:
                 raise ValueError("weights must be nonnegative and sum to 1")
         for name in ("confidence", "r1", "r2", "variance_scale"):
-            if not np.isfinite(getattr(self, name)):
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {v!r}")
+            if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
@@ -108,25 +115,23 @@ class ScalarProgram:
     ``scorer``, which every built-in program sets. A program built by hand
     may give only ``objective`` and ``eq_constraints``, and ``score`` then
     calls those, including ones that ``dataclasses.replace`` swaps in.
-    ``smooth`` declares the objective and constraints continuously
-    differentiable in x, which lets a local solver use gradients; a
-    program built by hand keeps the derivative-free default. ``goals``,
-    set only by ``goal_programming``, is ``(gap, w)``: the objective is
-    ``|gap(x)| @ w`` for a smooth ``gap`` from a batch to its (batch, r)
-    deviations from the targets, which the local solver uses in
-    deviation-variable form. ``rows``, set by ``_program`` for a program
-    that reads ``moments``, is ``(score_rows, r)``: ``score_rows(lead, t)``
-    gives what ``score`` gives at the grid nodes (lead_i, t_j) in
-    lexicographic order, for leading coordinates ``lead`` (rows, n-1) and
-    last-axis nodes ``t``, and r, the width of its (nodes, r) means, sizes
-    the blocks ``grid_search`` scores.
+    ``multistart`` gives every program to SLSQP, which differentiates
+    ``score`` by forward differences; ``solve.nelder_mead`` is the tests'
+    reference, not a product path. ``goals``, set only by
+    ``goal_programming``, is ``(gap, w)``: the objective is ``|gap(x)| @ w``
+    for a differentiable ``gap`` from a batch to its (batch, r) deviations
+    from the targets, which SLSQP solves in deviation-variable form.
+    ``rows``, set by ``_program`` for a program that reads ``moments``, is
+    ``(score_rows, r)``: ``score_rows(lead, t)`` gives what ``score`` gives
+    at the grid nodes (lead_i, t_j) in lexicographic order, for leading
+    coordinates ``lead`` (rows, n-1) and last-axis nodes ``t``, and r, the
+    width of its (nodes, r) means, sizes the blocks ``grid_search`` scores.
     """
 
     objective: Callable[[np.ndarray], np.ndarray]
     region: Region
     descriptor: str
     eq_constraints: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(default=())
-    smooth: bool = False
     scorer: Score | None = None
     goals: tuple[Callable[[np.ndarray], np.ndarray], np.ndarray] | None = None
     rows: tuple[Callable[[np.ndarray, np.ndarray], tuple], int] | None = None
@@ -138,15 +143,14 @@ class ScalarProgram:
 
 
 def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
-             descriptor: str, smooth: bool = True, read=None,
-             goals=None) -> ScalarProgram:
+             descriptor: str, read=None, goals=None) -> ScalarProgram:
     """A built-in program over the unit cube unless ``region`` is given:
     ``fn(m, q)`` gives the objective and ``n_eq`` residuals, and its (m, q)
     come from one ``moments`` call per batch unless ``read(x)`` is given.
     The objective and each constraint read the program's ``scorer``. A
     program that reads ``moments`` also scores grid rows, ``fn`` of one
     ``row_moments`` call per block of rows; one given ``read`` keeps only
-    ``scorer``."""
+    ``scorer``. Only goal programming passes ``goals``."""
     rows = None
     if read is None:
         read = lambda x: moments(model, x)
@@ -165,7 +169,6 @@ def _program(model: FittedModel, fn, n_eq: int, region: Region | None,
         scorer=score,
         region=region if region is not None else Region.unit_cube(model.n),
         descriptor=descriptor,
-        smooth=smooth,
         goals=goals,
         rows=rows,
     )
@@ -367,10 +370,10 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
                      region: Region | None = None) -> ScalarProgram:
     """Sum of weighted deviations; identical to sum w_k |term_k - tau_k|.
 
-    The |.| kinks make the objective nonsmooth, so the program keeps
-    ``smooth=False``; its ``goals`` carry the smooth gap term_k - tau_k and
-    the weights, which the local solver uses in the deviation-variable
-    form (Charnes & Cooper 1961)."""
+    The |.| has a kink where a term meets its target, so the program's
+    ``goals`` carry the differentiable gap term_k - tau_k and the weights,
+    which the local solver uses in the deviation-variable form (Charnes &
+    Cooper 1961)."""
     _require(model, cfg, "tau", "w")
     terms, tau, w = _kataoka_fn(model, cfg), cfg.tau, cfg.w
 
@@ -380,8 +383,7 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
     def gap(x):
         return terms(*moments(model, x)) - tau
 
-    return _program(model, fn, 0, region, "goal-programming", smooth=False,
-                    goals=(gap, w))
+    return _program(model, fn, 0, region, "goal-programming", goals=(gap, w))
 
 
 def normal_quantile(prob: float) -> float:

@@ -6,13 +6,14 @@ a program that reads ``moments`` scores a block through its row scorer
 (``fit.row_moments``), and any other program scores the block's nodes
 inside the region through ``program.score``. The production path is
 ``multistart``: a coarse-grid incumbent and deterministic quasi-random
-starts, each followed by one local solve. For every built-in program that
-is ``slsqp``: SLSQP with the box bounds, the equality constraints given
+starts, each followed by one local solve. That solve is ``slsqp`` for
+every program: SLSQP with the box bounds, the equality constraints given
 exactly, ||x||^2 <= radius^2 on a ball, and goal programming in its
 deviation-variable form; one (n+1)-point batch per point gives every value
 and forward-difference derivative. A constrained program reaches it through
-``penalty_solve``, a name kept for the benchmark's tests. Nelder-Mead runs
-only for a program built by hand with ``smooth=False`` and no constraints.
+``penalty_solve``, a name kept for the benchmark's tests. ``nelder_mead``
+is no product path: it is the tests' derivative-free reference, and the
+benchmark binds it by name.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ __all__ = [
     "SolveResult",
     "ParetoSet",
     "grid_search",
-    "nelder_mead",
     "slsqp",
-    "penalty_solve",
     "multistart",
     "pareto_front",
 ]
@@ -419,9 +418,7 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
     def local(x0) -> SolveResult:
         if program.eq_constraints:
             return penalty_solve(program, x0)
-        if program.smooth or program.goals is not None:
-            return slsqp(program, x0)
-        return nelder_mead(program, x0)
+        return slsqp(program, x0)
 
     best = local(coarse.x_star)
     evaluations = coarse.evaluations + best.evaluations

@@ -280,6 +280,22 @@ class TestCommands:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("data error: ")
 
+    @pytest.mark.parametrize("key", ["b_hat", "sigma_hat", "xtx_inv", "residuals"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_model_entry_is_data_error(self, model_path, tmp_path, key, bad,
+                                                  capsys):
+        doc = json.loads(model_path.read_text())
+        doc[key][0][0] = bad
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(doc))  # json writes NaN and Infinity tokens
+        capsys.readouterr()
+        assert main(["eval", "--model", str(path), "--x", "0.5,0.5,0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"data error: model {key} has a non-finite entry"]
+
     def test_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
@@ -554,7 +570,23 @@ def test_fixed_point_of_the_wrong_length_is_data_error_naming_it(small_config, c
      "r1, r2 must be nonnegative with r1 + r2 = 1"),
     ({"name": "v-model", "variance_scale": 0},
      "variance_scale must be positive"),
-], ids=["w", "confidence", "r1 r2", "variance_scale"])
+    # JSON's true and false would otherwise pass as 1 and 0
+    ({"name": "v-model", "variance_scale": True},
+     "variance_scale must be a number, got True"),
+    ({"name": "kataoka-weighting", "w": [0.5, 0.5], "confidence": True},
+     "confidence must be a number, got True"),
+    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": True, "r2": False},
+     "r1 must be a number, got True"),
+    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": 1, "r2": False},
+     "r2 must be a number, got False"),
+    ({"name": "mean-weighting", "w": [True, False]}, "w must hold numbers, not booleans"),
+    ({"name": "modified-e-epsilon", "tau": [103, True]},
+     "tau must hold numbers, not booleans"),
+    ({"name": "p-model-epsilon", "tau": [103, 73], "primary": 2, "epsilon": [False, 0]},
+     "epsilon must hold numbers, not booleans"),
+], ids=["w", "confidence", "r1 r2", "variance_scale", "variance_scale true",
+        "confidence true", "r1 true", "r2 false", "w booleans", "tau boolean",
+        "epsilon boolean"])
 def test_bad_method_field_is_data_error_naming_the_method(small_config, method,
                                                           message, capsys, no_solve):
     doc = json.loads(small_config.read_text())
@@ -630,6 +662,23 @@ def test_long_row_that_stops_before_its_response_is_data_error(small_config, tmp
     assert f"data.csv:{line}: bad row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, line", [("value cell", 2), ("header", 1)])
+def test_line_past_the_csv_field_limit_is_data_error(small_config, tmp_path, where,
+                                                     line, capsys):
+    # the csv module's default field size limit is 131,072 characters
+    lines = LONG_CSV.read_text().splitlines()
+    big = "1" * 200_000
+    if where == "header":
+        lines[0] += f',"{big}"'
+    else:
+        lines[1] = lines[1].rsplit(",", 1)[0] + f',"{big}"'
+    assert fit_on(small_config, tmp_path, "\n".join(lines) + "\n", False) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"data.csv:{line}: bad" in err
+    assert "field larger than field limit" in err
+
+
 @pytest.mark.parametrize("wide", ["false", "true", 1, None])
 def test_wide_must_be_a_boolean(small_config, wide, capsys):
     doc = json.loads(small_config.read_text())
@@ -682,6 +731,17 @@ def test_bad_term_in_config_is_data_error(small_config, term, capsys):
 
 
 class TestReport:
+    def test_example_table_is_pinned(self, tmp_path):
+        """The worked example's markdown table, recorded from the CLI: every
+        digit must stay. modified-e-epsilon's F is the exact constrained
+        minimum 3.583 (README "Tests")."""
+        from conftest import CONFIG_PATH, ROOT
+
+        out = tmp_path / "report.md"
+        assert main(["report", "--config", str(CONFIG_PATH), "--format", "md",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (ROOT / "tests" / "data" / "example_report.md").read_text()
+
     def test_small_report_rows(self, small_config, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["report", "--config", str(small_config),

@@ -343,7 +343,6 @@ class TestSlsqp:
             objective=lambda x: seen.append(np.array(x)) or base(x),
             region=Region.hypercube([-1, 0, -1], [1, 0.5, 1]),
             descriptor="recorded",
-            smooth=True,
         )
         # the start is clipped onto the upper face in x2, where every
         # difference step in x2 has to go backward
@@ -371,7 +370,6 @@ class TestSlsqp:
             objective=lambda x: np.abs(x[..., 0] - 0.3) + 0.1 * x[..., 1] ** 2,
             region=Region.unit_cube(2),
             descriptor="kink at x0",
-            smooth=True,
         )
         res = slsqp(kinked, np.array([0.3, 0.0]))
         assert res.f_star == 0.0
@@ -508,29 +506,37 @@ class TestPolishDispatch:
 
         monkeypatch.setattr(solve, name, refuse)
 
-    def test_smooth_flags(self, run_config, example_model):
+    def test_only_goal_programming_sets_goals(self, run_config, example_model):
         for spec in run_config.methods:
             prog = build_program(example_model, spec, run_config.region)
-            assert prog.smooth == (spec.name != "goal-programming")
             assert (prog.goals is not None) == (spec.name == "goal-programming")
-        assert not constant_program().smooth
 
     @pytest.mark.parametrize("region", [None, Region.hypersphere(1.2, dim=3)],
                              ids=["box", "ball"])
     def test_built_in_methods_never_reach_nelder_mead(self, run_config, example_model,
                                                       monkeypatch, region):
         self.refuse(monkeypatch, "nelder_mead")
-        for spec in run_config.methods:
-            prog = build_program(example_model, spec, region or run_config.region)
+        region = region or run_config.region
+        programs = [build_program(example_model, spec, region)
+                    for spec in run_config.methods]
+        # hand-built programs, with and without an equality constraint
+        base = v_model(example_model, region=region)
+        programs += [
+            ScalarProgram(objective=base.objective, region=region,
+                          descriptor="hand-built"),
+            ScalarProgram(objective=base.objective, region=region,
+                          eq_constraints=(lambda x: x[..., 0] - 0.25,),
+                          descriptor="hand-built, pinned x1"),
+        ]
+        for prog in programs:
             res = multistart(prog, k=2, seed=0)
             assert prog.region.contains(res.x_star, atol=1e-12)
 
-    def test_hand_built_nonsmooth_program_runs_nelder_mead(self, example_model,
-                                                           monkeypatch):
-        self.refuse(monkeypatch, "slsqp")
+    def test_hand_built_program_runs_slsqp(self, example_model, monkeypatch):
+        self.refuse(monkeypatch, "nelder_mead")
         calls = []
-        real = solve.nelder_mead
-        monkeypatch.setattr(solve, "nelder_mead",
+        real = solve.slsqp
+        monkeypatch.setattr(solve, "slsqp",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         prog = ScalarProgram(objective=v_model(example_model).objective,
                              region=Region.unit_cube(3), descriptor="hand-built")
@@ -566,8 +572,7 @@ class TestPolishDispatch:
         for mu in (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
             stage = nelder_mead(ScalarProgram(objective=solve._penalized(prog.score, mu),
                                               region=prog.region,
-                                              descriptor=f"{name} at mu={mu:g}",
-                                              smooth=False), x)
+                                              descriptor=f"{name} at mu={mu:g}"), x)
             x, evaluations = stage.x_star, evaluations + stage.evaluations
         simplex_f = float(prog.objective(x))
         assert exact.converged
