@@ -23,7 +23,8 @@ import numpy as np
 
 from . import programs as prog
 from .fit import FittedModel, fit_ols, moments
-from .model import ExperimentData, Region, Run, TermSpec, build_design_matrix
+from .model import (ExperimentData, Region, Run, TermSpec, as_integer, as_numbers,
+                    build_design_matrix)
 from .programs import MethodConfig, ScalarProgram
 from .solve import SolveResult, multistart
 
@@ -204,27 +205,13 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise DataError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
 
 
-def _integer(value, least: int, where: str) -> int:
-    """``value`` if it is an integer >= ``least``; a bool or a float such as
-    2.0 is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DataError(f"{where} must be an integer >= {least}, got {value!r}")
-    return value
-
-
 def load_config(path: str | Path) -> RunConfig:
     with open(path) as fh:
         doc = json.load(fh)
     try:
         _check_keys(doc, CONFIG_KEYS, "config")
-        reg = doc["region"]
-        _check_keys(reg, REGION_KEYS, "region")
-        if reg["kind"] == "hypercube":
-            region = Region.hypercube(reg["lower"], reg["upper"])
-        elif reg["kind"] == "hypersphere":
-            region = Region.hypersphere(float(reg["radius"]), dim=reg["dim"])
-        else:
-            raise DataError(f"unknown region kind {reg['kind']!r}")
+        _check_keys(doc["region"], REGION_KEYS, "region")
+        region = Region(**doc["region"])
         terms = TermSpec.from_names(doc["terms"], region.bounding_box()[0].size)
         methods = []
         for m in doc.get("methods", []):
@@ -241,21 +228,15 @@ def load_config(path: str | Path) -> RunConfig:
         fixed = []
         for fp in doc.get("fixed_points", []):
             _check_keys(fp, FIXED_POINT_KEYS, "fixed point")
-            x = np.asarray(fp["x"], dtype=float)
-            if x.shape != (terms.n,):
-                raise DataError(f"fixed point {fp['label']!r} has {x.size} "
-                                f"coordinates, expected {terms.n}")
-            if not np.all(np.isfinite(x)):
-                raise DataError(f"fixed point {fp['label']!r} has a non-finite "
-                                f"coordinate")
-            fixed.append((fp["label"], x))
+            label = fp["label"]
+            fixed.append((label, as_numbers(fp["x"], f"fixed point {label!r} x", (terms.n,))))
         solver_doc = doc.get("solver", {})
         _check_keys(solver_doc, SOLVER_KEYS, "solver")
-        solver = SolverSettings(
-            seed=_integer(solver_doc.get("seed", 0), 0, "solver seed"),
-            multistart_k=_integer(solver_doc.get("multistart", 16), 1,
-                                  "solver multistart"),
-        )
+        # only the keys given: SolverSettings holds the defaults
+        solver = SolverSettings(**{
+            name: as_integer(solver_doc[key], f"solver {key}", least)
+            for name, key, least in (("seed", "seed", 0), ("multistart_k", "multistart", 1))
+            if key in solver_doc})
         wide = doc.get("wide", False)
         if not isinstance(wide, bool):
             raise DataError(f"wide must be true or false, got {wide!r}")
@@ -313,27 +294,21 @@ def model_to_doc(model: FittedModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> FittedModel:
-    """Inverse of model_to_doc; DataError for a missing key, an array whose
-    shape does not match p, r and N, or a non-finite entry (JSON's NaN and
-    Infinity tokens, which ``json.load`` accepts)."""
+    """Inverse of model_to_doc; DataError for a missing key, a count n, r,
+    N or p that is not an integer >= 1, or an array that is not of finite
+    numbers (JSON's NaN and Infinity are not) in the shape p, r and N give."""
     try:
-        terms = TermSpec.from_names(doc["terms"], int(doc["n"]))
-        p, r, n_obs = terms.p, int(doc["r"]), int(doc["N"])
-        if int(doc["p"]) != p:
-            raise ValueError(f"p is {doc['p']} but there are {p} terms")
+        n, r, n_obs, p = (as_integer(doc[key], key, 1) for key in ("n", "r", "N", "p"))
+        terms = TermSpec.from_names(doc["terms"], n)
+        if p != terms.p:
+            raise ValueError(f"p is {p} but there are {terms.p} terms")
         shapes = {"b_hat": (p, r), "sigma_hat": (r, r), "xtx_inv": (p, p),
                   "residuals": (n_obs, r)}
-        arrays = {key: np.asarray(doc[key], dtype=float) for key in shapes}
+        arrays = {key: as_numbers(doc[key], key, shape) for key, shape in shapes.items()}
     except KeyError as exc:
         raise DataError(f"model has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad model: {exc}") from exc
-    for key, shape in shapes.items():
-        if arrays[key].shape != shape:
-            raise DataError(f"model {key} has shape {arrays[key].shape}, "
-                            f"expected {shape}")
-        if not np.isfinite(arrays[key]).all():
-            raise DataError(f"model {key} has a non-finite entry")
     return FittedModel(terms=terms, n_obs=n_obs, **arrays)
 
 
@@ -471,11 +446,10 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    x = np.array([float(v) for v in args.x.split(",")])
-    if x.size != model.n:
-        raise DataError(f"expected {model.n} coordinates, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"coordinates must be finite, got {args.x}")
+    try:
+        x = as_numbers([_float_or_text(v) for v in args.x.split(",")], "--x", (model.n,))
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     y_hat, q = moments(model, x)
     record = {
         "x": x.tolist(),
@@ -485,6 +459,14 @@ def cmd_eval(args) -> int:
     }
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK
+
+
+def _float_or_text(text: str):
+    """``text`` as a float, or ``text`` itself for ``as_numbers`` to name."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _fitted(args) -> tuple[RunConfig, ExperimentData, FittedModel]:

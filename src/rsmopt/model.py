@@ -21,6 +21,32 @@ __all__ = [
 ]
 
 
+def as_numbers(value, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``value`` as a float array of ``shape`` if given, or a ValueError
+    naming ``key``. The one rule for a number given as input: an int or a
+    float, numpy scalars included, and finite; a bool, a string or None is
+    not one. Callers keep their domain checks (a positive radius, say)."""
+    entries = np.asarray(value, dtype=object)  # a ragged list gives list entries
+    for e in entries.flat:
+        if isinstance(e, bool) or not isinstance(e, (int, float, np.integer, np.floating)):
+            noun = "be a number" if entries.ndim == 0 else "hold numbers"
+            raise ValueError(f"{key} must {noun}, got {e!r}")
+    arr = entries.astype(float)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{key} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{key} must be finite")
+    return arr
+
+
+def as_integer(value, key: str, least: int) -> int:
+    """``value`` if it is an integer >= ``least``; a bool or a float such as
+    3.0 is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 # one factor of a monomial name: x<i>, optionally to the power 1 or 2
 _FACTOR = re.compile(r"x([0-9]+)(?:\^([12]))?")
 
@@ -123,7 +149,10 @@ class Region:
     in ``dim`` factors.
 
     The factor bounds are closed even though optima may sit exactly on
-    them; an open box would have no attained minimum there.
+    them; an open box would have no attained minimum there. The bounds and
+    the radius must be finite numbers (``as_numbers``) and ``dim`` an
+    integer >= 1, so a bool or a string is a ValueError naming its key. A
+    region given a key of the other kind is a ValueError too.
     """
 
     kind: str
@@ -133,26 +162,28 @@ class Region:
     dim: int | None = None
 
     def __post_init__(self) -> None:
+        keys = {"hypercube": ("lower", "upper"), "hypersphere": ("radius", "dim")}
+        if self.kind not in keys:
+            raise ValueError(f"unknown region kind {self.kind!r}")
+        extra = [key for key in ("lower", "upper", "radius", "dim")
+                 if key not in keys[self.kind] and getattr(self, key) is not None]
+        if extra:
+            raise ValueError(f"a {self.kind} takes no {' or '.join(extra)}")
         if self.kind == "hypercube":
-            lo = np.asarray(self.lower, dtype=float)
-            hi = np.asarray(self.upper, dtype=float)
-            if lo.shape != hi.shape or lo.ndim != 1:
-                raise ValueError("lower/upper must be 1-d and congruent")
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                raise ValueError("bounds must be finite")
+            lo = as_numbers(self.lower, "lower")
+            hi = as_numbers(self.upper, "upper", lo.shape)
+            if lo.ndim != 1:
+                raise ValueError("lower/upper must be 1-d")
             if not np.all(lo < hi):
                 raise ValueError("require lower < upper componentwise")
             object.__setattr__(self, "lower", lo)
             object.__setattr__(self, "upper", hi)
-        elif self.kind == "hypersphere":
-            if self.radius is None or not 0 < self.radius < np.inf:
-                raise ValueError("radius must be positive and finite")
-            if (isinstance(self.dim, bool)
-                    or not isinstance(self.dim, (int, np.integer)) or self.dim < 1):
-                raise ValueError(f"hypersphere dim must be a positive integer, "
-                                 f"got {self.dim!r}")
         else:
-            raise ValueError(f"unknown region kind {self.kind!r}")
+            radius = float(as_numbers(self.radius, "radius", ()))
+            if radius <= 0:
+                raise ValueError("radius must be positive")
+            object.__setattr__(self, "radius", radius)
+            object.__setattr__(self, "dim", as_integer(self.dim, "dim", 1))
 
     @classmethod
     def hypercube(cls, lower, upper) -> "Region":

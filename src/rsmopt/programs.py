@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .fit import FittedModel, matrix_sqrt, moments, predict, row_moments, unit_variance
-from .model import Region
+from .model import Region, as_integer, as_numbers
 
 __all__ = [
     "MethodConfig",
@@ -60,9 +60,11 @@ class MethodConfig:
     epsilon-constraint programs. ``variance_scale`` multiplies q(x) in
     scalarized objectives; it defaults to 1 and is only ever set
     explicitly (the worked example uses N because q scales as 1/N for an
-    orthogonal design). Fields are named as the config's method keys; each
-    constructor checks that a config fits its model (see ``_require``). A
-    bool is not a number here: one in a numeric field is a ValueError.
+    orthogonal design). Fields are named as the config's method keys. Every
+    numeric field must be a finite number (``model.as_numbers``; a bool or a
+    string is a ValueError naming the field) and ``primary`` an integer
+    >= 1; each constructor checks that a config fits its model (see
+    ``_require``).
     """
 
     tau: np.ndarray | None = None
@@ -76,24 +78,15 @@ class MethodConfig:
 
     def __post_init__(self) -> None:
         for name in ("tau", "w", "epsilon"):
-            v = getattr(self, name)
-            if v is not None:
-                if any(isinstance(e, (bool, np.bool_))
-                       for e in np.asarray(v, dtype=object).flat):
-                    raise ValueError(f"{name} must hold numbers, not booleans")
-                v = np.asarray(v, dtype=float)
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, v)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_numbers(getattr(self, name), name))
+        for name in ("confidence", "r1", "r2", "variance_scale"):
+            object.__setattr__(self, name, float(as_numbers(getattr(self, name), name, ())))
+        if self.primary is not None:
+            object.__setattr__(self, "primary", as_integer(self.primary, "primary", 1))
         if self.w is not None:
             if np.any(self.w < 0) or abs(float(np.sum(self.w)) - 1.0) > 1e-9:
                 raise ValueError("weights must be nonnegative and sum to 1")
-        for name in ("confidence", "r1", "r2", "variance_scale"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
         if self.r1 < 0 or self.r2 < 0 or abs(self.r1 + self.r2 - 1.0) > 1e-9:
@@ -184,7 +177,7 @@ class GoalDeviations:
 
 def _require(model: FittedModel, cfg: MethodConfig, *names: str) -> None:
     """ValueError unless ``names`` are set, each set tau, w and epsilon has
-    one entry per response, and a set primary is in 1..r."""
+    one entry per response, and a set primary is at most r."""
     for name in names:
         if getattr(cfg, name) is None:
             raise ValueError(f"method requires config field {name!r}")
@@ -193,13 +186,9 @@ def _require(model: FittedModel, cfg: MethodConfig, *names: str) -> None:
         if v is not None and v.shape != (model.r,):
             raise ValueError(f"{name} must have one entry per response "
                              f"({model.r}), got {v.tolist()}")
-    k = cfg.primary
-    if k is not None:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"primary must be an integer >= 1, got {k!r}")
-        if k > model.r:
-            raise ValueError(f"primary must be a response number in "
-                             f"1..{model.r}, got {k}")
+    if cfg.primary is not None and cfg.primary > model.r:
+        raise ValueError(f"primary must be a response number in "
+                         f"1..{model.r}, got {cfg.primary}")
 
 
 def v_model(model: FittedModel, cfg: MethodConfig | None = None,
@@ -405,16 +394,8 @@ def joint_probability_mc(model: FittedModel, x, tau, n_samples: int,
     hold one finite target per response and ``n_samples`` be an integer of
     at least 1000.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (model.r,):
-        raise ValueError(f"tau must hold one target per response, shape ({model.r},); "
-                         f"got shape {tau.shape}")
-    if not np.isfinite(tau).all():
-        raise ValueError(f"tau must be finite, got {tau.tolist()}")
+    n_samples = as_integer(n_samples, "n_samples", 1000)
+    tau = as_numbers(tau, "tau", (model.r,))
     mean, q = moments(model, x)
     root = matrix_sqrt(q * model.sigma_hat)
     draws = np.random.default_rng(seed).standard_normal((n_samples, model.r)) @ root

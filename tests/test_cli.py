@@ -204,6 +204,9 @@ class TestModelPersistence:
         assert np.allclose(np.diag(loaded.xtx_inv), 1 / 32, atol=1e-9)
 
 
+MODEL_ARRAYS = ("b_hat", "sigma_hat", "xtx_inv", "residuals")
+
+
 class TestCommands:
     @pytest.fixture()
     def model_path(self, tmp_path, run_config):
@@ -229,7 +232,16 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert "coordinates must be finite" in err
+        assert "--x must be finite" in err
+
+    @pytest.mark.parametrize("x, bad", [("True,0,0", "True"), ("0,,1", ""), ("0,1,x", "x")])
+    def test_eval_coordinate_not_a_number_is_data_error_naming_it(self, model_path, x,
+                                                                  bad, capsys):
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--x", x]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [f"data error: --x must hold numbers, got {bad!r}"]
 
     def test_unknown_method_is_usage_error(self, capsys):
         rc = main(["optimize", "--config", str(run_config_path()),
@@ -280,21 +292,31 @@ class TestCommands:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("data error: ")
 
-    @pytest.mark.parametrize("key", ["b_hat", "sigma_hat", "xtx_inv", "residuals"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
-                             ids=["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_model_entry_is_data_error(self, model_path, tmp_path, key, bad,
-                                                  capsys):
+    @pytest.mark.parametrize("key, bad, message", [
+        *[(key, bad, f"{key} must be finite")
+          for key in MODEL_ARRAYS for bad in (float("nan"), float("inf"), float("-inf"))],
+        *[(key, bad, f"{key} must hold numbers, got {bad!r}")
+          for key in MODEL_ARRAYS for bad in (True, False, "1")],
+        *[(key, bad, f"{key} must be an integer >= 1, got {bad!r}")
+          for key in ("n", "r", "N", "p") for bad in (32.7, 2.9, True, "7")],
+    ])
+    def test_model_entry_that_is_not_a_finite_number_is_data_error(
+            self, model_path, tmp_path, key, bad, message, capsys):
+        """Every number in a model file goes through one rule: JSON's NaN,
+        Infinity, true, false or a string in an array is a data error naming
+        the array, and a count must be an integer (32.7 is not truncated)."""
         doc = json.loads(model_path.read_text())
-        doc[key][0][0] = bad
+        if key in MODEL_ARRAYS:
+            doc[key][0][0] = bad
+        else:
+            doc[key] = bad
         path = tmp_path / "bad_model.json"
         path.write_text(json.dumps(doc))  # json writes NaN and Infinity tokens
         capsys.readouterr()
         assert main(["eval", "--model", str(path), "--x", "0.5,0.5,0.5"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.strip().splitlines() == [
-            f"data error: model {key} has a non-finite entry"]
+        assert err.strip().splitlines() == [f"data error: bad model: {message}"]
 
     def test_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -410,6 +432,18 @@ def test_unknown_region_kind_is_data_error(small_config, capsys):
     assert "unknown region kind 'cube'" in err
 
 
+def test_region_key_of_the_other_kind_is_data_error(small_config, capsys):
+    """A ball given box bounds would otherwise drop them without a word."""
+    doc = json.loads(small_config.read_text())
+    doc["region"].update(kind="hypersphere", radius=1.2, dim=3)
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"data error: bad config {small_config}: a hypersphere takes no lower or upper"]
+
+
 @pytest.mark.parametrize("terms", ["1", "x1", 1, {"1": 1}],
                          ids=["intercept string", "term string", "number", "object"])
 def test_terms_not_a_list_is_data_error(small_config, terms, capsys):
@@ -435,50 +469,6 @@ def test_duplicate_term_is_data_error_naming_it(small_config, terms, repeated, c
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert f"duplicate monomial {repeated!r}" in err
-
-
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["fixed_points"][0].update(x=[float("nan"), 0, 0]),
-    lambda doc: doc["fixed_points"][0].update(x=[1, float("inf"), -1]),
-], ids=["NaN", "Infinity"])
-def test_non_finite_fixed_point_is_data_error(small_config, edit, capsys):
-    doc = json.loads(small_config.read_text())
-    edit(doc)
-    small_config.write_text(json.dumps(doc))
-    assert main(["report", "--config", str(small_config), "--format", "json"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert "fixed point 'baseline' has a non-finite coordinate" in err
-
-
-@pytest.mark.parametrize("region, message", [
-    ({"kind": "hypercube", "lower": [-1, -1, -1], "upper": [1, float("inf"), 1]},
-     "bounds must be finite"),
-    ({"kind": "hypercube", "lower": [float("-inf"), -1, -1], "upper": [1, 1, 1]},
-     "bounds must be finite"),
-    ({"kind": "hypersphere", "radius": float("inf"), "dim": 3},
-     "radius must be positive and finite"),
-], ids=["upper", "lower", "radius"])
-def test_infinite_region_is_data_error(small_config, region, message, capsys):
-    doc = json.loads(small_config.read_text())
-    doc["region"] = region
-    small_config.write_text(json.dumps(doc))
-    assert main(["report", "--config", str(small_config)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert message in err
-
-
-@pytest.mark.parametrize("dim", [0, 2.5, 3.0, "3", None])
-def test_hypersphere_dim_not_a_positive_integer_is_data_error(small_config, dim, capsys):
-    doc = json.loads(small_config.read_text())
-    doc["region"] = {"kind": "hypersphere", "radius": 1.0, "dim": dim}
-    small_config.write_text(json.dumps(doc))
-    assert main(["report", "--config", str(small_config)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert f"hypersphere dim must be a positive integer, got {dim!r}" in err
 
 
 @pytest.mark.parametrize("method, message", [
@@ -525,6 +515,85 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(cli, "multistart", multistart)
 
 
+# Every numeric config key, as (where, key, kind): kind is "array", "number"
+# or, for an integer key, its least value. "ball" is the region key of a
+# hypersphere, "region" that of the small config's hypercube.
+NUMERIC_CONFIG_KEYS = [
+    ("region", "lower", "array"), ("region", "upper", "array"),
+    ("ball", "radius", "number"), ("ball", "dim", 1),
+    ("fixed point", "x", "array"),
+    ("solver", "seed", 0), ("solver", "multistart", 1),
+    *[("method", key, "array") for key in ("tau", "w", "epsilon")],
+    *[("method", key, "number") for key in ("confidence", "r1", "r2", "variance_scale")],
+    ("method", "primary", 1),
+]
+KEY_PREFIX = {"region": "", "ball": "", "fixed point": "fixed point 'baseline' ",
+              "solver": "solver ", "method": "method 'kataoka-epsilon': "}
+
+
+def numeric_key_cases():
+    """(where, key, bad value, message) for every numeric config key: JSON's
+    true, false, a string, null, NaN and Infinity in every key (in an array,
+    as its first entry), and [1], and for an integer key a value below its
+    least and two floats."""
+    for where, key, kind in NUMERIC_CONFIG_KEYS:
+        values = [True, False, "1", None, float("nan"), float("inf"), float("-inf")]
+        if kind != "array":
+            values.append([1])
+        if kind not in ("array", "number"):
+            values += [kind - 1, 2.5, 3.0]
+        if key == "primary":
+            values.remove(None)  # a null primary is unset, as a missing one is
+        for bad in values:
+            if kind not in ("array", "number"):
+                message = f"{key} must be an integer >= {kind}, got {bad!r}"
+            elif isinstance(bad, float):
+                message = f"{key} must be finite"
+            elif bad == [1]:
+                message = f"{key} must have shape (), got (1,)"
+            else:
+                noun = "hold numbers" if kind == "array" else "be a number"
+                message = f"{key} must {noun}, got {bad!r}"
+            yield pytest.param(where, key, bad, KEY_PREFIX[where] + message,
+                               id=f"{where} {key} {json.dumps(bad)}")
+
+
+@pytest.mark.parametrize("where, key, bad, message", numeric_key_cases())
+def test_numeric_config_key_that_is_not_a_number_is_data_error(small_config, where, key,
+                                                               bad, message, capsys,
+                                                               no_solve):
+    """One rule for every number in a config: true, a string or null is not
+    a number, NaN and Infinity are not finite, a scalar is not a list, and
+    an integer key takes no float (3.0 included) or out-of-range value."""
+    doc = json.loads(small_config.read_text())
+    doc["region"] = ({"kind": "hypersphere", "radius": 1.0, "dim": 3} if where == "ball"
+                     else doc["region"])
+    doc["methods"] = [{"name": "kataoka-epsilon", "tau": [103, 73], "w": [0.5, 0.5],
+                       "epsilon": [1, 0], "confidence": 0.95, "r1": 0.5, "r2": 0.5,
+                       "variance_scale": 32, "primary": 2}]
+    target = {"region": doc["region"], "ball": doc["region"], "solver": doc["solver"],
+              "fixed point": doc["fixed_points"][0], "method": doc["methods"][0]}[where]
+    if isinstance(target[key], list):
+        target[key][0] = bad
+    else:
+        target[key] = bad
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [f"data error: bad config {small_config}: {message}"]
+
+
+def test_solver_defaults_come_from_solver_settings(small_config):
+    doc = json.loads(small_config.read_text())
+    del doc["solver"]
+    small_config.write_text(json.dumps(doc))
+    assert load_config(small_config).solver == cli.SolverSettings(seed=0, multistart_k=16)
+    doc["solver"] = {"seed": 3}
+    small_config.write_text(json.dumps(doc))
+    assert load_config(small_config).solver == cli.SolverSettings(seed=3, multistart_k=16)
+
+
 @pytest.mark.parametrize("method, field", [
     ({"name": "kataoka-weighting"}, "w"),
     ({"name": "modified-e-epsilon", "variance_scale": 32}, "tau"),
@@ -558,7 +627,7 @@ def test_fixed_point_of_the_wrong_length_is_data_error_naming_it(small_config, c
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert "fixed point 'short' has 2 coordinates, expected 3" in err
+    assert "fixed point 'short' x must have shape (3,), got (2,)" in err
 
 
 @pytest.mark.parametrize("method, message", [
@@ -570,23 +639,7 @@ def test_fixed_point_of_the_wrong_length_is_data_error_naming_it(small_config, c
      "r1, r2 must be nonnegative with r1 + r2 = 1"),
     ({"name": "v-model", "variance_scale": 0},
      "variance_scale must be positive"),
-    # JSON's true and false would otherwise pass as 1 and 0
-    ({"name": "v-model", "variance_scale": True},
-     "variance_scale must be a number, got True"),
-    ({"name": "kataoka-weighting", "w": [0.5, 0.5], "confidence": True},
-     "confidence must be a number, got True"),
-    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": True, "r2": False},
-     "r1 must be a number, got True"),
-    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": 1, "r2": False},
-     "r2 must be a number, got False"),
-    ({"name": "mean-weighting", "w": [True, False]}, "w must hold numbers, not booleans"),
-    ({"name": "modified-e-epsilon", "tau": [103, True]},
-     "tau must hold numbers, not booleans"),
-    ({"name": "p-model-epsilon", "tau": [103, 73], "primary": 2, "epsilon": [False, 0]},
-     "epsilon must hold numbers, not booleans"),
-], ids=["w", "confidence", "r1 r2", "variance_scale", "variance_scale true",
-        "confidence true", "r1 true", "r2 false", "w booleans", "tau boolean",
-        "epsilon boolean"])
+], ids=["w", "confidence", "r1 r2", "variance_scale"])
 def test_bad_method_field_is_data_error_naming_the_method(small_config, method,
                                                           message, capsys, no_solve):
     doc = json.loads(small_config.read_text())
@@ -598,24 +651,6 @@ def test_bad_method_field_is_data_error_naming_the_method(small_config, method,
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert f"method {method['name']!r}: {message}" in err
-
-
-@pytest.mark.parametrize("field", ["confidence", "r1", "r2", "variance_scale"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
-                         ids=["NaN", "Infinity", "-Infinity"])
-def test_non_finite_method_field_is_data_error_naming_the_method(small_config, field,
-                                                                 bad, capsys, no_solve):
-    """JSON's NaN and Infinity reach MethodConfig as floats; before any
-    solve they exit 2, not 0 with F = inf or 3 with a NaN objective."""
-    doc = json.loads(small_config.read_text())
-    doc["methods"] = [{"name": "modified-e-weighting", "w": [0.5, 0.5], field: bad}]
-    small_config.write_text(json.dumps(doc))
-    assert main(["report", "--config", str(small_config)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.strip().splitlines() == [
-        f"data error: bad config {small_config}: method 'modified-e-weighting': "
-        f"{field} must be finite"]
 
 
 @pytest.mark.parametrize("responses", [5, "Y1", ["Y1", 2], ["Y1", "Y1", "Y2"]],
@@ -696,21 +731,6 @@ def test_fit_takes_its_data_only_from_the_config(small_config, tmp_path, option,
     assert main(argv + option) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert main(argv) == 0
-
-
-@pytest.mark.parametrize("key, value, least", [
-    ("multistart", 0, 1), ("multistart", 2.5, 1), ("multistart", True, 1),
-    ("seed", -1, 0), ("seed", 1.5, 0), ("seed", True, 0),
-])
-def test_solver_setting_must_be_an_integer_in_range(small_config, key, value, least,
-                                                    capsys):
-    doc = json.loads(small_config.read_text())
-    doc["solver"][key] = value
-    small_config.write_text(json.dumps(doc))
-    assert main(["report", "--config", str(small_config)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert f"solver {key} must be an integer >= {least}, got {value!r}" in err
 
 
 def test_negative_seed_option_is_usage_error(small_config, capsys):

@@ -10,9 +10,12 @@ from rsmopt.model import (
     Region,
     Run,
     TermSpec,
+    as_integer,
+    as_numbers,
     build_design_matrix,
     evaluate_basis,
 )
+from rsmopt.programs import MethodConfig
 
 INTERACTION_TERMS = ["1", "x1", "x2", "x3", "x1*x2", "x1*x3", "x2*x3"]
 
@@ -124,6 +127,63 @@ class TestEvaluateBasis:
             assert zs[j] == pytest.approx(z[j] * s**mult, rel=1e-12, abs=1e-12)
 
 
+class TestNumberRule:
+    @pytest.mark.parametrize("value, shape", [
+        (3, ()), (-2.5, ()), (np.int32(3), ()), (np.float32(0.5), ()), (np.float64(1e300), ()),
+        ([1, 2.5], (2,)), (np.array([1.0, -1.0]), (2,)), (np.arange(6).reshape(2, 3), (2, 3)),
+        ([[1, 2.0], [np.int64(3), 4]], (2, 2)), ([], (0,)),
+    ])
+    def test_numbers_are_accepted_as_floats(self, value, shape):
+        got = as_numbers(value, "v", shape)
+        assert got.dtype == float and got.shape == shape
+        assert np.array_equal(got, np.asarray(value, dtype=float))
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "v must be a number, got True"),
+        (np.True_, "v must be a number, got np.True_"),
+        ("1", "v must be a number, got '1'"),
+        (None, "v must be a number, got None"),
+        (1j, "v must be a number, got 1j"),
+        ([1.0, False], "v must hold numbers, got False"),
+        (np.array([True, False]), "v must hold numbers, got True"),
+        (["-1", 1.0], "v must hold numbers, got '-1'"),
+        ([[1.0, 2.0], [3.0]], "v must hold numbers, got [1.0, 2.0]"),
+        (np.nan, "v must be finite"),
+        ([1.0, np.inf], "v must be finite"),
+        ([[-np.inf]], "v must be finite"),
+    ])
+    def test_non_numbers_and_non_finite_values_are_rejected(self, value, message):
+        with pytest.raises(ValueError) as info:
+            as_numbers(value, "v")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value, shape, got", [
+        ([1.0, 2.0], (3,), (2,)), (1.0, (1,), ()), ([1.0], (), (1,)), ([[1.0, 2.0]], (2,), (1, 2)),
+    ])
+    def test_a_wrong_shape_is_rejected(self, value, shape, got):
+        with pytest.raises(ValueError) as info:
+            as_numbers(value, "v", shape)
+        assert str(info.value) == f"v must have shape {shape}, got {got}"
+
+    @pytest.mark.parametrize("value", [0, 1, 7, np.int64(2), 10**20])
+    def test_integers_at_or_above_the_least_are_accepted(self, value):
+        got = as_integer(value, "k", 0)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [3.0, True, False, np.True_, "3", None, -1, [1],
+                                       np.float64(2.0)])
+    def test_anything_else_is_not_an_integer(self, value):
+        with pytest.raises(ValueError) as info:
+            as_integer(value, "k", 0)
+        assert str(info.value) == f"k must be an integer >= 0, got {value!r}"
+
+    def test_the_library_reaches_the_rule(self):
+        with pytest.raises(ValueError, match="radius must be a number, got True"):
+            Region.hypersphere(True, dim=3)
+        with pytest.raises(ValueError, match="tau must hold numbers, got '103'"):
+            MethodConfig(tau=["103", "73"])
+
+
 class TestRegion:
     def test_paper_solution_point_inside(self):
         cube = Region.unit_cube(3)
@@ -145,8 +205,17 @@ class TestRegion:
 
     @pytest.mark.parametrize("dim", [None, 0, -1, 2.0, True, "3"])
     def test_hypersphere_needs_a_positive_integer_dim(self, dim):
-        with pytest.raises(ValueError, match="dim must be a positive integer"):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
             Region.hypersphere(1.0, dim=dim)
+
+    @pytest.mark.parametrize("kwargs, extra", [
+        (dict(kind="hypersphere", radius=1.0, dim=2, lower=[-1, -1]), "lower"),
+        (dict(kind="hypercube", lower=[-1], upper=[1], radius=1.0, dim=1), "radius or dim"),
+    ])
+    def test_a_key_of_the_other_kind_is_rejected(self, kwargs, extra):
+        with pytest.raises(ValueError) as info:
+            Region(**kwargs)
+        assert str(info.value) == f"a {kwargs['kind']} takes no {extra}"
 
     def test_hypersphere_dim_is_required(self):
         with pytest.raises(TypeError):
@@ -170,7 +239,7 @@ class TestRegion:
 
     @pytest.mark.parametrize("radius", [np.inf, np.nan])
     def test_non_finite_radius_is_rejected(self, radius):
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
+        with pytest.raises(ValueError, match="radius must be finite"):
             Region.hypersphere(radius, dim=2)
 
     def test_clip_projects_into_ball(self):

@@ -588,7 +588,7 @@ class TestJointProbability:
 
     @pytest.mark.parametrize("tau", [[103.0], [103.0, 73.0, 80.0], [[103.0, 73.0]], 103.0])
     def test_tau_needs_one_target_per_response(self, example_model, tau):
-        with pytest.raises(ValueError, match=r"one target per response, shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"tau must have shape \(2,\)"):
             joint_probability_mc(example_model, np.zeros(3), tau, 1000, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
