@@ -167,7 +167,7 @@ def _assemble(rows, response_order, origin: Path) -> ExperimentData:
 @dataclass
 class SolverSettings:
     seed: int = 0
-    multistart_k: int = 16
+    multistart_k: int = 16  # the most quasi-random starts; ``multistart`` may stop sooner
 
 
 @dataclass
@@ -408,7 +408,11 @@ def report_markdown(report: dict, response_names: list[str] | None = None) -> st
              "|" + "---|" * len(head)]
 
     def fmt(v):
-        return "--" if v is None else f"{v:.3f}"
+        if v is None:
+            return "--"
+        text = f"{v:.3f}"
+        # a value that rounds to zero prints as 0.000 whatever its sign
+        return "0.000" if text == "-0.000" else text
 
     for row in report["rows"]:
         if "x" not in row:

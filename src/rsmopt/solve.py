@@ -5,8 +5,10 @@ walks the grid in blocks of whole rows of the last axis (``_region_rows``):
 a program that reads ``moments`` scores a block through its row scorer
 (``fit.row_moments``), and any other program scores the block's nodes
 inside the region through ``program.score``. The production path is
-``multistart``: a coarse-grid incumbent and deterministic quasi-random
-starts, each followed by one local solve. That solve is ``slsqp`` for
+``multistart``: a coarse-grid incumbent and at most k deterministic
+quasi-random starts, each followed by one local solve, which stop once the
+Bayesian estimate of the number of minima says the solves have found them
+all (Boender & Rinnooy Kan 1987). That solve is ``slsqp`` for
 every program: SLSQP with the box bounds, the equality constraints given
 exactly, ||x||^2 <= radius^2 on a ball, and goal programming in its
 deviation-variable form; one (n+1)-point batch per point gives every value
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Region
+from .model import Region, as_integer
 from .programs import ScalarProgram
 
 __all__ = [
@@ -66,6 +68,7 @@ FEASIBILITY_TOL = 1e-3
 # Relative f gap within which ``multistart`` ranks starts by feasibility: a
 # start stopped just off its constraints otherwise wins by what the violation
 # buys (kataoka-epsilon, radius-1.2 ball: f 1.1e-8 lower at residual 1e-8).
+# Its stopping rule counts two values of f this close as one minimum.
 F_TIE = 1e-8
 
 
@@ -409,10 +412,20 @@ def _start_points(program: ScalarProgram, k: int, seed: int) -> np.ndarray:
 
 
 def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResult:
-    """Best of local searches from k quasi-random starts plus the coarse-grid
-    incumbent; deterministic given the seed."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Best of local searches from the coarse-grid incumbent and at most k
+    quasi-random starts; deterministic given the seed.
+
+    The starts stop early by the Bayesian rule of Boender & Rinnooy Kan
+    (1987, *Math. Programming* 37:59). The solves so far, N of them with the
+    incumbent's, have reached w distinct values of f, a value being new
+    unless it is within F_TIE * max(1, |f|) of a value f already reached,
+    converged or not. Before each further start the rule estimates
+    w (N - 1) / (N - w - 2) minima in all, and stops once N > w + 2 and that
+    is below w + 0.5: after 8 solves with one value, after 17 with two. At
+    k <= 6 every start runs. The best of the solves that ran wins, by
+    ``_better``.
+    """
+    k, seed = as_integer(k, "k", 1), as_integer(seed, "seed", 0)
     coarse = grid_search(program, resolution=0.1)
 
     def local(x0) -> SolveResult:
@@ -422,9 +435,15 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
 
     best = local(coarse.x_star)
     evaluations = coarse.evaluations + best.evaluations
-    for x0 in _start_points(program, k, seed):
+    values = [best.f_star]  # the distinct values of f the solves reached
+    for n, x0 in enumerate(_start_points(program, k, seed), start=1):
+        w = len(values)
+        if n > w + 2 and w * (n - 1) / (n - w - 2) < w + 0.5:
+            break
         cand = local(x0)
         evaluations += cand.evaluations
+        if not any(abs(cand.f_star - f) <= F_TIE * max(1.0, abs(f)) for f in values):
+            values.append(cand.f_star)
         if _better(cand, best):
             best = cand
     return replace(best, evaluations=evaluations)

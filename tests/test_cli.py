@@ -782,6 +782,12 @@ class TestReport:
         assert lines[0].startswith("| method | x1 | x2 | x3 | F |")
         assert len(lines) == 2 + 3  # header, rule, two methods, one fixed point
 
+    def test_a_cell_that_rounds_to_zero_has_no_sign(self):
+        row = {"method": "m", "x": [-9.5e-9, -0.0004, -0.0006], "F": -0.0,
+               "y_hat": [1e-12], "var": [0.0], "cov": []}
+        table = cli.report_markdown({"rows": [row]})
+        assert table.splitlines()[2] == "| m | 0.000 | 0.000 | -0.001 | 0.000 | 0.000 | 0.000 |"
+
     def test_empty_methods_header_only(self, small_config, tmp_path, capsys):
         doc = json.loads(small_config.read_text())
         doc["methods"] = []

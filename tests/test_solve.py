@@ -729,6 +729,101 @@ class TestMultistart:
         res = multistart(prog, k=4, seed=0)
         assert prog.region.contains(res.x_star, atol=1e-9)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", 0), ("k", -1), ("k", True), ("k", False), ("k", 2.5), ("k", 3.0),
+        ("k", "3"), ("k", None), ("seed", -1), ("seed", True), ("seed", 1.5),
+        ("seed", "0"), ("seed", None),
+    ])
+    def test_k_and_seed_must_be_integers(self, key, value):
+        least = {"k": 1, "seed": 0}[key]
+        with pytest.raises(ValueError, match=f"^{key} must be an integer >= {least}, got "):
+            multistart(constant_program(), **{key: value})
+
+
+class TestStoppingRule:
+    """``multistart`` stops starting once the Bayesian estimate of the
+    number of minima falls below the distinct values found plus one half."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """multistart's result and its local solves, counted at ``slsqp``,
+        which ``penalty_solve`` reaches through the module global."""
+        calls = []
+        real = solve.slsqp
+        monkeypatch.setattr(solve, "slsqp",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+
+        def run(program, k=16, seed=0):
+            calls.clear()
+            return multistart(program, k=k, seed=seed), len(calls)
+
+        return run
+
+    @staticmethod
+    def programs(run_config, example_model, region=None):
+        return [build_program(example_model, spec, region or run_config.region)
+                for spec in run_config.methods]
+
+    def test_example_cube_counts(self, run_config, example_model, solves):
+        """One value stops after 8 solves; p-model-epsilon reaches two and
+        runs all 17: 73 solves in all, against 136 for every start."""
+        counts = [solves(p)[1] for p in self.programs(run_config, example_model)]
+        assert counts == [8, 8, 8, 8, 17, 8, 8, 8]
+
+    def test_unreachable_targets_run_every_start(self, run_config, example_model,
+                                                 solves):
+        ball = Region.hypersphere(1.2, dim=3)
+        spec = next(m for m in run_config.methods if m.name == "modified-e-epsilon")
+        res, count = solves(build_program(example_model, spec, ball))
+        assert not res.converged and count == 17
+
+    def test_never_fires_at_k6(self, run_config, example_model, solves):
+        counts = [solves(p, k=6)[1] for p in self.programs(run_config, example_model)]
+        assert counts == [7] * 8
+
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_same_seed_stops_at_the_same_solve(self, run_config, example_model,
+                                               solves, seed):
+        spec = next(m for m in run_config.methods if m.name == "kataoka-weighting")
+        prog = build_program(example_model, spec, run_config.region)
+        (a, n_a), (b, n_b) = solves(prog, seed=seed), solves(prog, seed=seed)
+        assert n_a == n_b == 8
+        assert a.x_star.tolist() == b.x_star.tolist() and a.f_star == b.f_star
+
+    @pytest.mark.parametrize("case", ["example cube", "example ball", "ccd10 cube",
+                                      "ccd10 alpha-ball", "ccd6 cube", "ccd6 alpha-ball"])
+    def test_never_worse_than_every_start(self, run_config, example_model, monkeypatch,
+                                          case):
+        """The rule against the fixed k = 16: ``slsqp`` from the coarse-grid
+        incumbent and from each of the 16 starts, ranked by ``_better``.
+        ``multistart`` gets each of those solves back from a table rather
+        than solving again, and must ask for no other start."""
+        model, region = case.split()
+        if model == "example":
+            region = run_config.region if region == "cube" else Region.hypersphere(1.2, dim=3)
+            programs = self.programs(run_config, example_model, region)
+        else:
+            model = rotatable_ccd_model(int(model[3:]))
+            region = (Region.unit_cube(3) if region == "cube"
+                      else Region.hypersphere(8 ** 0.25, dim=3))
+            programs = list(method_programs(model, region).values())
+        solved = {}
+        monkeypatch.setattr(solve, "slsqp",
+                            lambda prog, x0: solved[np.asarray(x0).tobytes()])
+        for prog in programs:
+            starts = [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)]
+            every = [slsqp(prog, x0) for x0 in starts]
+            solved.update({x0.tobytes(): res for x0, res in zip(starts, every)})
+            want = every[0]
+            for cand in every[1:]:
+                if _better(cand, want):
+                    want = cand
+            got = multistart(prog, k=16, seed=0)
+            solved.clear()
+            assert got.converged == want.converged, prog.descriptor
+            assert abs(got.f_star - want.f_star) <= solve.F_TIE * max(1.0, abs(want.f_star)), \
+                prog.descriptor
+
 
 def box_nodes(region, resolution):
     lo, hi = region.bounding_box()
