@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,19 +36,6 @@ EXIT_SOLVER = 3
 
 class DataError(ValueError):
     pass
-
-
-METHOD_CONSTRUCTORS = {
-    "v-model": prog.v_model,
-    "mean-weighting": prog.mean_weighting,
-    "modified-e-weighting": prog.modified_e_weighting,
-    "modified-e-epsilon": prog.modified_e_epsilon,
-    "p-model-weighting": prog.p_model_weighting,
-    "p-model-epsilon": prog.p_model_epsilon,
-    "kataoka-weighting": prog.kataoka_weighting,
-    "kataoka-epsilon": prog.kataoka_epsilon,
-    "goal-programming": prog.goal_programming,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +175,12 @@ class RunConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
 
-# Accepted config keys, per level; load_config rejects any other key.
+# Accepted config keys, per level (a method's are in prog.METHODS); load_config
+# rejects any other key.
 CONFIG_KEYS = {"data", "wide", "responses", "terms", "region", "solver",
                "methods", "fixed_points"}
 REGION_KEYS = {"kind", "lower", "upper", "radius", "dim"}
 SOLVER_KEYS = {"seed", "multistart"}
-METHOD_KEYS = {f.name for f in fields(MethodConfig)}
 FIXED_POINT_KEYS = {"label", "x"}
 
 
@@ -206,9 +193,9 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         _check_keys(doc, CONFIG_KEYS, "config")
         _check_keys(doc["region"], REGION_KEYS, "region")
         region = Region(**doc["region"])
@@ -216,12 +203,13 @@ def load_config(path: str | Path) -> RunConfig:
         methods = []
         for m in doc.get("methods", []):
             name = m["name"]
-            if name not in METHOD_CONSTRUCTORS:
+            if name not in prog.METHODS:
                 raise ValueError(f"unknown method {name!r}")
-            _check_keys(m, {"name", *METHOD_KEYS}, f"method {name!r}")
-            kwargs = {key: m[key] for key in METHOD_KEYS if key in m}
+            if any(spec.name == name for spec in methods):
+                raise ValueError(f"method {name!r} is repeated")
+            _check_keys(m, {"name", *prog.METHODS[name][1]}, f"method {name!r}")
             try:
-                config = MethodConfig(**kwargs)
+                config = MethodConfig(**{key: m[key] for key in m if key != "name"})
             except (TypeError, ValueError) as exc:
                 raise DataError(f"method {name!r}: {exc}") from exc
             methods.append(MethodSpec(name=name, config=config))
@@ -318,7 +306,11 @@ def save_model(model: FittedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> FittedModel:
     with open(path) as fh:
-        return model_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"bad model {path}: {exc}") from exc
+    return model_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +321,7 @@ def build_program(model: FittedModel, spec: MethodSpec, region: Region) -> Scala
     """The method's program; DataError naming the method if its config does
     not fit the model."""
     try:
-        return METHOD_CONSTRUCTORS[spec.name](model, spec.config, region=region)
+        return prog.METHODS[spec.name][0](model, spec.config, region=region)
     except ValueError as exc:
         raise DataError(f"method {spec.name!r}: {exc}") from exc
 
@@ -487,7 +479,7 @@ def cmd_optimize(args) -> int:
     config, _, model = _fitted(args)
     spec = next((m for m in config.methods if m.name == args.method), None)
     if spec is None:
-        if args.method not in METHOD_CONSTRUCTORS:
+        if args.method not in prog.METHODS:
             print(f"unknown method: {args.method}", file=sys.stderr)
             return EXIT_USAGE
         print(f"method {args.method} not configured in {args.config}",

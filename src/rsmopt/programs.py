@@ -52,26 +52,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Knobs shared by the method constructors.
+    """The parameters of one method's program.
 
-    ``confidence`` is the probability level of the Kataoka-style terms
-    (one knob; 0.5 makes the quantile term vanish). ``primary`` is
-    1-based and names the response kept as the objective in
-    epsilon-constraint programs. ``variance_scale`` multiplies q(x) in
-    scalarized objectives; it defaults to 1 and is only ever set
-    explicitly (the worked example uses N because q scales as 1/N for an
-    orthogonal design). Fields are named as the config's method keys. Every
-    numeric field must be a finite number (``model.as_numbers``; a bool or a
-    string is a ValueError naming the field) and ``primary`` an integer
-    >= 1; each constructor checks that a config fits its model (see
-    ``_require``).
+    One class holds every method's fields; ``METHODS`` names the few each
+    method reads, and a config may set no other. ``confidence`` is the
+    probability level of the Kataoka-style terms (0.5 makes the quantile
+    term vanish). ``primary`` is 1-based and names the response kept as the
+    objective in epsilon-constraint programs. ``r1`` in [0, 1] weighs the
+    mean in the E-model, and 1 - r1 the variance. ``variance_scale``
+    multiplies q(x) in scalarized objectives; it defaults to 1 and is only
+    ever set explicitly (the worked example uses N because q scales as 1/N
+    for an orthogonal design). Every numeric field must be a finite number
+    (``model.as_numbers``; a bool or a string is a ValueError naming the
+    field) and ``primary`` an integer >= 1; each constructor checks that a
+    config fits its model (see ``_require``).
     """
 
     tau: np.ndarray | None = None
     w: np.ndarray | None = None
     confidence: float = 0.95
     r1: float = 0.5
-    r2: float = 0.5
     variance_scale: float = 1.0
     primary: int | None = None
     epsilon: np.ndarray | None = None
@@ -80,7 +80,7 @@ class MethodConfig:
         for name in ("tau", "w", "epsilon"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, as_numbers(getattr(self, name), name))
-        for name in ("confidence", "r1", "r2", "variance_scale"):
+        for name in ("confidence", "r1", "variance_scale"):
             object.__setattr__(self, name, float(as_numbers(getattr(self, name), name, ())))
         if self.primary is not None:
             object.__setattr__(self, "primary", as_integer(self.primary, "primary", 1))
@@ -89,8 +89,8 @@ class MethodConfig:
                 raise ValueError("weights must be nonnegative and sum to 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.r1 < 0 or self.r2 < 0 or abs(self.r1 + self.r2 - 1.0) > 1e-9:
-            raise ValueError("r1, r2 must be nonnegative with r1 + r2 = 1")
+        if not 0.0 <= self.r1 <= 1.0:
+            raise ValueError("r1 must lie in [0, 1]")
         if self.variance_scale <= 0:
             raise ValueError("variance_scale must be positive")
 
@@ -219,12 +219,12 @@ def mean_weighting(model: FittedModel, cfg: MethodConfig,
 
 def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
                          region: Region | None = None) -> ScalarProgram:
-    """r1 * (weighted mean) + r2 * (scaled q): mean/dispersion trade-off."""
+    """r1 * (weighted mean) + (1 - r1) * (scaled q), for r1 in [0, 1]."""
     _require(model, cfg, "w")
-    w, r1, r2, scale = cfg.w, cfg.r1, cfg.r2, cfg.variance_scale
+    w, r1, q_weight = cfg.w, cfg.r1, (1.0 - cfg.r1) * cfg.variance_scale
 
     def fn(m, q):
-        return r1 * (m @ w) + r2 * scale * q, ()
+        return r1 * (m @ w) + q_weight * q, ()
 
     return _program(model, fn, 0, region, "modified-e-weighting")
 
@@ -373,6 +373,20 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
         return terms(*moments(model, x)) - tau
 
     return _program(model, fn, 0, region, "goal-programming", goals=(gap, w))
+
+
+# Each method's constructor and the config fields it reads, by method name.
+METHODS = {
+    "v-model": (v_model, ("variance_scale",)),
+    "mean-weighting": (mean_weighting, ("w",)),
+    "modified-e-weighting": (modified_e_weighting, ("w", "r1", "variance_scale")),
+    "modified-e-epsilon": (modified_e_epsilon, ("tau", "variance_scale")),
+    "p-model-weighting": (p_model_weighting, ("tau", "w")),
+    "p-model-epsilon": (p_model_epsilon, ("tau", "primary", "epsilon")),
+    "kataoka-weighting": (kataoka_weighting, ("w", "confidence")),
+    "kataoka-epsilon": (kataoka_epsilon, ("tau", "primary", "confidence")),
+    "goal-programming": (goal_programming, ("tau", "w", "confidence")),
+}
 
 
 def normal_quantile(prob: float) -> float:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,6 +26,7 @@ from rsmopt.cli import (
     save_model,
 )
 from rsmopt.fit import covariance_at, predict, unit_variance
+from rsmopt.programs import METHODS, MethodConfig
 
 
 def write_csv(tmp_path, name, text):
@@ -292,6 +295,17 @@ class TestCommands:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("data error: ")
 
+    def test_model_that_is_not_json_is_data_error_naming_the_file(self, tmp_path,
+                                                                  capsys):
+        path = tmp_path / "truncated_model.json"
+        path.write_text('{"n": 3, ')
+        assert main(["eval", "--model", str(path), "--x", "1,1,-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"data error: bad model {path}: Expecting property name enclosed in "
+            f"double quotes: line 1 column 10 (char 9)"]
+
     @pytest.mark.parametrize("key, bad, message", [
         *[(key, bad, f"{key} must be finite")
           for key in MODEL_ARRAYS for bad in (float("nan"), float("inf"), float("-inf"))],
@@ -422,6 +436,91 @@ def test_unknown_config_key_is_data_error(small_config, level, key, capsys):
     assert repr(key) in err
 
 
+# The config fields each method reads; a method config may set no other.
+METHOD_READS = {
+    "v-model": {"variance_scale"},
+    "mean-weighting": {"w"},
+    "modified-e-weighting": {"w", "r1", "variance_scale"},
+    "modified-e-epsilon": {"tau", "variance_scale"},
+    "p-model-weighting": {"tau", "w"},
+    "p-model-epsilon": {"tau", "primary", "epsilon"},
+    "kataoka-weighting": {"w", "confidence"},
+    "kataoka-epsilon": {"tau", "primary", "confidence"},
+    "goal-programming": {"tau", "w", "confidence"},
+}
+# A value of each method field that every method reading it accepts.
+FIELD_VALUES = {"tau": [103, 73], "w": [0.5, 0.5], "confidence": 0.95, "r1": 0.5,
+                "variance_scale": 32, "primary": 2, "epsilon": [1, 0]}
+
+
+def method_doc(name, **extra):
+    """A config entry for method ``name`` that sets every field it reads."""
+    return {"name": name, **copy.deepcopy({k: FIELD_VALUES[k] for k in METHOD_READS[name]}),
+            **extra}
+
+
+def test_each_method_reads_the_fields_of_its_table_row():
+    assert {name: set(reads) for name, (_, reads) in METHODS.items()} == METHOD_READS
+    assert sum(map(len, METHOD_READS.values())) == 20
+    assert set(FIELD_VALUES) == {f.name for f in dataclasses.fields(MethodConfig)}
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_READS))
+def test_method_with_every_field_it_reads_loads(small_config, method):
+    doc = json.loads(small_config.read_text())
+    doc["methods"] = [method_doc(method)]
+    small_config.write_text(json.dumps(doc))
+    [spec] = load_config(small_config).methods
+    for key in METHOD_READS[method]:
+        assert np.array_equal(getattr(spec.config, key), FIELD_VALUES[key])
+
+
+@pytest.mark.parametrize("method, key", [
+    *[pytest.param(method, key, id=f"{method} {key}")
+      for method, reads in sorted(METHOD_READS.items())
+      for key in sorted(FIELD_VALUES) if key not in reads],
+    pytest.param("modified-e-weighting", "r2", id="modified-e-weighting r2"),
+])
+def test_method_field_the_method_does_not_read_is_data_error(small_config, method, key,
+                                                             capsys, no_solve):
+    """A field another method reads does nothing here, so it is an unknown
+    key; r2 is no key at all (the E-model's variance weight is 1 - r1)."""
+    doc = json.loads(small_config.read_text())
+    doc["methods"] = [method_doc(method, **{key: FIELD_VALUES.get(key, 0.5)})]
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"data error: bad config {small_config}: unknown key {key!r} in method {method!r}"]
+
+
+@pytest.mark.parametrize("command", ["report", "optimize"])
+def test_method_named_twice_is_data_error_naming_it(small_config, command, capsys,
+                                                    no_solve):
+    doc = json.loads(small_config.read_text())
+    doc["methods"].append({"name": "v-model"})
+    small_config.write_text(json.dumps(doc))
+    argv = [command, "--config", str(small_config)]
+    if command == "optimize":
+        argv += ["--method", "v-model"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"data error: bad config {small_config}: method 'v-model' is repeated"]
+
+
+def test_config_that_is_not_json_is_data_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"data": ')
+    assert main(["report", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"data error: bad config {path}: Expecting value: line 1 column 10 (char 9)"]
+
+
 def test_unknown_region_kind_is_data_error(small_config, capsys):
     doc = json.loads(small_config.read_text())
     doc["region"]["kind"] = "cube"
@@ -524,11 +623,22 @@ NUMERIC_CONFIG_KEYS = [
     ("fixed point", "x", "array"),
     ("solver", "seed", 0), ("solver", "multistart", 1),
     *[("method", key, "array") for key in ("tau", "w", "epsilon")],
-    *[("method", key, "number") for key in ("confidence", "r1", "r2", "variance_scale")],
+    *[("method", key, "number") for key in ("confidence", "r1", "variance_scale")],
     ("method", "primary", 1),
 ]
+
+
+def key_method(where, key):
+    """The method the numeric key case of (where, key) configures: the first
+    of three methods, which together read every method key, that reads it."""
+    if where != "method":
+        return "kataoka-epsilon"
+    return next(name for name in ("kataoka-epsilon", "p-model-epsilon", "modified-e-weighting")
+                if key in METHOD_READS[name])
+
+
 KEY_PREFIX = {"region": "", "ball": "", "fixed point": "fixed point 'baseline' ",
-              "solver": "solver ", "method": "method 'kataoka-epsilon': "}
+              "solver": "solver "}
 
 
 def numeric_key_cases():
@@ -554,7 +664,9 @@ def numeric_key_cases():
             else:
                 noun = "hold numbers" if kind == "array" else "be a number"
                 message = f"{key} must {noun}, got {bad!r}"
-            yield pytest.param(where, key, bad, KEY_PREFIX[where] + message,
+            prefix = (f"method {key_method(where, key)!r}: " if where == "method"
+                      else KEY_PREFIX[where])
+            yield pytest.param(where, key, bad, prefix + message,
                                id=f"{where} {key} {json.dumps(bad)}")
 
 
@@ -568,9 +680,7 @@ def test_numeric_config_key_that_is_not_a_number_is_data_error(small_config, whe
     doc = json.loads(small_config.read_text())
     doc["region"] = ({"kind": "hypersphere", "radius": 1.0, "dim": 3} if where == "ball"
                      else doc["region"])
-    doc["methods"] = [{"name": "kataoka-epsilon", "tau": [103, 73], "w": [0.5, 0.5],
-                       "epsilon": [1, 0], "confidence": 0.95, "r1": 0.5, "r2": 0.5,
-                       "variance_scale": 32, "primary": 2}]
+    doc["methods"] = [method_doc(key_method(where, key))]
     target = {"region": doc["region"], "ball": doc["region"], "solver": doc["solver"],
               "fixed point": doc["fixed_points"][0], "method": doc["methods"][0]}[where]
     if isinstance(target[key], list):
@@ -635,15 +745,18 @@ def test_fixed_point_of_the_wrong_length_is_data_error_naming_it(small_config, c
      "weights must be nonnegative and sum to 1"),
     ({"name": "kataoka-weighting", "w": [0.5, 0.5], "confidence": 1.0},
      "confidence must lie in (0, 1)"),
-    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": 0.7, "r2": 0.7},
-     "r1, r2 must be nonnegative with r1 + r2 = 1"),
+    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": 1.5},
+     "r1 must lie in [0, 1]"),
+    ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": -0.1},
+     "r1 must lie in [0, 1]"),
     ({"name": "v-model", "variance_scale": 0},
      "variance_scale must be positive"),
-], ids=["w", "confidence", "r1 r2", "variance_scale"])
+], ids=["w", "confidence", "r1 above 1", "r1 below 0", "variance_scale"])
 def test_bad_method_field_is_data_error_naming_the_method(small_config, method,
                                                           message, capsys, no_solve):
     doc = json.loads(small_config.read_text())
-    doc["methods"].append(method)
+    # in place of the small config's method of that name, which may appear once
+    doc["methods"] = [m for m in doc["methods"] if m["name"] != method["name"]] + [method]
     small_config.write_text(json.dumps(doc))
     for argv in (["report"], ["optimize", "--method", method["name"]]):
         assert main(argv + ["--config", str(small_config)]) == 2

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmopt import cli, fit, solve
-from rsmopt.cli import METHOD_CONSTRUCTORS, build_program
+from rsmopt.cli import build_program
 from rsmopt.fit import FittedModel, predict, unit_variance
 from rsmopt.model import Region, TermSpec
 from rsmopt.programs import (
+    METHODS,
     MethodConfig,
     ScalarProgram,
     goal_deviations,
@@ -76,10 +77,11 @@ class TestMethodConfig:
                 MethodConfig(confidence=bad)
 
     def test_rejects_bad_mixing(self):
-        with pytest.raises(ValueError):
-            MethodConfig(r1=0.7, r2=0.7)
+        for bad in (-0.1, 1.1):
+            with pytest.raises(ValueError, match=r"r1 must lie in \[0, 1\]"):
+                MethodConfig(r1=bad)
 
-    @pytest.mark.parametrize("field", ["confidence", "r1", "r2", "variance_scale"])
+    @pytest.mark.parametrize("field", ["confidence", "r1", "variance_scale"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_scalar(self, field, bad):
         """NaN compares false, so a range check alone lets it through, and
@@ -87,7 +89,7 @@ class TestMethodConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             MethodConfig(**{field: bad})
 
-    @pytest.mark.parametrize("name", sorted(METHOD_CONSTRUCTORS))
+    @pytest.mark.parametrize("name", sorted(METHODS))
     @pytest.mark.parametrize("field, value, message", [
         ("tau", [103.0], "tau must have one entry per response (2), got [103.0]"),
         ("tau", [103.0, 73.0, 1.0], "tau must have one entry per response (2)"),
@@ -103,10 +105,15 @@ class TestMethodConfig:
         """Every constructor checks the per-response fields against r; a
         short tau or w is not broadcast over the responses."""
         cfg = MethodConfig(tau=TAU, w=WEIGHTS, primary=2, epsilon=[3.9753, 0.0])
-        METHOD_CONSTRUCTORS[name](example_model, cfg)
+        METHODS[name][0](example_model, cfg)
         with pytest.raises(ValueError) as info:
-            METHOD_CONSTRUCTORS[name](example_model, dataclasses.replace(cfg, **{field: value}))
+            METHODS[name][0](example_model, dataclasses.replace(cfg, **{field: value}))
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_table_constructor_builds_the_program_of_its_name(self, example_model, name):
+        cfg = MethodConfig(tau=TAU, w=WEIGHTS, primary=2, epsilon=[3.9753, 0.0])
+        assert METHODS[name][0](example_model, cfg).descriptor == name
 
 
 class TestVModel:
@@ -141,13 +148,13 @@ class TestMeanWeighting:
 
 class TestModifiedE:
     def test_weighting_at_reported_point(self, example_model):
-        cfg = MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32)
+        cfg = MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32)
         prog = modified_e_weighting(example_model, cfg)
         x = np.array([0.522, -1.0, 0.108])
         assert float(prog.objective(x)) == pytest.approx(39.59, abs=0.02)
 
-    def test_r2_zero_reduces_to_mean_weighting(self, example_model):
-        cfg = MethodConfig(w=WEIGHTS, r1=1.0, r2=0.0, variance_scale=32)
+    def test_r1_one_reduces_to_mean_weighting(self, example_model):
+        cfg = MethodConfig(w=WEIGHTS, r1=1.0, variance_scale=32)
         prog = modified_e_weighting(example_model, cfg)
         base = mean_weighting(example_model, MethodConfig(w=WEIGHTS))
         rng = np.random.default_rng(5)
@@ -338,7 +345,7 @@ def reference_program(name, model, cfg):
         return (lambda x: predict(model, x) @ w), ()
     if name == "modified-e-weighting":
         return (lambda x: cfg.r1 * (predict(model, x) @ w)
-                + cfg.r2 * scale * unit_variance(model, x)), ()
+                + (1.0 - cfg.r1) * scale * unit_variance(model, x)), ()
     if name == "modified-e-epsilon":
         return variance, tuple((lambda x, k=k: predict(model, x)[..., k] - tau[k])
                                for k in range(model.r))
@@ -374,7 +381,7 @@ def quadratic_model_r3() -> FittedModel:
 
 # every field any of the eight methods reads, for the three-response model
 R3_CONFIG = MethodConfig(tau=[1.0, -2.0, 3.0], w=[0.2, 0.3, 0.5], confidence=0.9,
-                         r1=0.3, r2=0.7, variance_scale=11.0, primary=2,
+                         r1=0.3, variance_scale=11.0, primary=2,
                          epsilon=[0.5, 0.0, -0.5])
 R3_MODEL = quadratic_model_r3()
 
@@ -397,12 +404,12 @@ class TestScore:
         if which == "example":
             model, cfgs = example_model, example_configs(run_config)
         else:
-            model, cfgs = R3_MODEL, dict.fromkeys(METHOD_CONSTRUCTORS, R3_CONFIG)
+            model, cfgs = R3_MODEL, dict.fromkeys(METHODS, R3_CONFIG)
         shape = {"()": (), "(k,)": (k,), "(k, l)": (k, l)}[batch]
         x = np.random.default_rng(seed).uniform(-1.2, 1.2, size=shape + (model.n,))
-        assert set(cfgs) == set(METHOD_CONSTRUCTORS)
+        assert set(cfgs) == set(METHODS)
         for name, cfg in cfgs.items():
-            program = METHOD_CONSTRUCTORS[name](model, cfg)
+            program = METHODS[name][0](model, cfg)
             want_f, want_g = reference_program(name, model, cfg)
             f, g = program.score(x)
             assert np.shape(f) == shape

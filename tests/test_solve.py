@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TAU, WEIGHTS
-from rsmopt.cli import METHOD_CONSTRUCTORS, build_program
+from rsmopt.cli import build_program
 from rsmopt.fit import fit_ols, moments, predict, unit_variance
 from rsmopt.model import Region, TermSpec, evaluate_basis
 from rsmopt.programs import (
+    METHODS,
     MethodConfig,
     ScalarProgram,
     kataoka_epsilon,
@@ -224,10 +225,10 @@ def method_programs(model, region):
     m0 = moments(model, np.zeros(model.n))[0]
     r = model.r
     cfg = MethodConfig(tau=m0 + 1.0, w=np.full(r, 1.0 / r), confidence=0.9,
-                       r1=0.3, r2=0.7, variance_scale=10.0, primary=1,
+                       r1=0.3, variance_scale=10.0, primary=1,
                        epsilon=np.linspace(-0.5, 0.5, r))
     return {name: build(model, cfg, region=region)
-            for name, build in METHOD_CONSTRUCTORS.items()}
+            for name, (build, _) in METHODS.items()}
 
 
 class TestRowPath:
@@ -296,7 +297,7 @@ class TestNelderMead:
     def test_never_worse_than_start(self, example_model):
         prog = modified_e_weighting(
             example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
+            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
         )
         x0 = np.array([0.9, -0.9, 0.9])
         res = nelder_mead(prog, x0)
@@ -311,7 +312,7 @@ class TestNelderMead:
     def test_paper_modified_e_weighting(self, example_model):
         prog = modified_e_weighting(
             example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
+            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
         )
         warm = grid_search(prog, 0.1)
         res = nelder_mead(prog, warm.x_star)
@@ -355,7 +356,7 @@ class TestSlsqp:
     def test_never_worse_than_start(self, example_model):
         prog = modified_e_weighting(
             example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
+            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
         )
         for x0 in ([0.9, -0.9, 0.9], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]):
             x0 = np.array(x0)
@@ -384,7 +385,7 @@ class TestSlsqp:
     def test_paper_modified_e_weighting(self, example_model):
         prog = modified_e_weighting(
             example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
+            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
         )
         warm = grid_search(prog, 0.1)
         res = slsqp(prog, warm.x_star)
@@ -696,7 +697,7 @@ class TestMultistart:
     def test_seed_determinism(self, example_model):
         prog = modified_e_weighting(
             example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, r2=0.5, variance_scale=32),
+            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
         )
         a = multistart(prog, k=4, seed=42)
         b = multistart(prog, k=4, seed=42)
