@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import programs as prog
-from .fit import FittedModel, fit_ols, moments
+from .fit import FittedModel, _check_symmetric, fit_ols, moments
 from .model import (ExperimentData, Region, Run, TermSpec, as_integer, as_numbers,
                     build_design_matrix)
 from .programs import MethodConfig, ScalarProgram
@@ -184,25 +184,47 @@ SOLVER_KEYS = {"seed", "multistart"}
 FIXED_POINT_KEYS = {"label", "x"}
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+def _check_keys(doc: dict, allowed: set[str] | None, where: str,
+                required: tuple[str, ...] = ()) -> None:
+    """DataError unless ``doc`` is an object that has every ``required``
+    key and no key outside ``allowed`` (any key if it is None)."""
     if not isinstance(doc, dict):
-        raise TypeError(f"{where} must be an object")
-    unknown = sorted(set(doc) - allowed)
+        raise DataError(f"{where} must be an object")
+    for key in required:
+        if key not in doc:
+            raise DataError(f"{where} has no {key!r}")
+    unknown = sorted(set(doc) - allowed) if allowed is not None else []
     if unknown:
         raise DataError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DataError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise DataError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def load_config(path: str | Path) -> RunConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        _check_keys(doc, CONFIG_KEYS, "config")
-        _check_keys(doc["region"], REGION_KEYS, "region")
+        _check_keys(doc, CONFIG_KEYS, "config", ("data", "terms", "region"))
+        _check_keys(doc["region"], REGION_KEYS, "region", ("kind",))
+        _string(doc["region"]["kind"], "region kind")
         region = Region(**doc["region"])
         terms = TermSpec.from_names(doc["terms"], region.bounding_box()[0].size)
         methods = []
-        for m in doc.get("methods", []):
-            name = m["name"]
+        for m in _list(doc, "methods"):
+            # its keys depend on its name, and are checked once that is known
+            _check_keys(m, None, "method", ("name",))
+            name = _string(m["name"], "method name")
             if name not in prog.METHODS:
                 raise ValueError(f"unknown method {name!r}")
             if any(spec.name == name for spec in methods):
@@ -214,9 +236,9 @@ def load_config(path: str | Path) -> RunConfig:
                 raise DataError(f"method {name!r}: {exc}") from exc
             methods.append(MethodSpec(name=name, config=config))
         fixed = []
-        for fp in doc.get("fixed_points", []):
-            _check_keys(fp, FIXED_POINT_KEYS, "fixed point")
-            label = fp["label"]
+        for fp in _list(doc, "fixed_points"):
+            _check_keys(fp, FIXED_POINT_KEYS, "fixed point", ("label", "x"))
+            label = _string(fp["label"], "fixed point label")
             fixed.append((label, as_numbers(fp["x"], f"fixed point {label!r} x", (terms.n,))))
         solver_doc = doc.get("solver", {})
         _check_keys(solver_doc, SOLVER_KEYS, "solver")
@@ -235,7 +257,7 @@ def load_config(path: str | Path) -> RunConfig:
                 or len(set(responses)) < len(responses)):
             raise DataError(f"responses must be a list of distinct strings, "
                             f"got {responses!r}")
-        data_path = doc["data"]
+        data_path = _string(doc["data"], "data")
         if not Path(data_path).is_absolute():
             # relative to the config file, not the working directory
             data_path = str((Path(path).resolve().parent / data_path))
@@ -282,9 +304,13 @@ def model_to_doc(model: FittedModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> FittedModel:
-    """Inverse of model_to_doc; DataError for a missing key, a count n, r,
-    N or p that is not an integer >= 1, or an array that is not of finite
-    numbers (JSON's NaN and Infinity are not) in the shape p, r and N give."""
+    """Inverse of model_to_doc; DataError for a doc that is not an object, a
+    missing key, a count n, r, N or p that is not an integer >= 1, an array
+    that is not of finite numbers (JSON's NaN and Infinity are not) in the
+    shape p, r and N give, or a sigma_hat or xtx_inv that is not symmetric
+    (``fit_ols`` writes both exactly symmetric)."""
+    if not isinstance(doc, dict):
+        raise DataError(f"bad model: model must be an object, got {type(doc).__name__}")
     try:
         n, r, n_obs, p = (as_integer(doc[key], key, 1) for key in ("n", "r", "N", "p"))
         terms = TermSpec.from_names(doc["terms"], n)
@@ -293,6 +319,8 @@ def model_from_doc(doc: dict) -> FittedModel:
         shapes = {"b_hat": (p, r), "sigma_hat": (r, r), "xtx_inv": (p, p),
                   "residuals": (n_obs, r)}
         arrays = {key: as_numbers(doc[key], key, shape) for key, shape in shapes.items()}
+        for key in ("sigma_hat", "xtx_inv"):
+            _check_symmetric(arrays[key], name=key)
     except KeyError as exc:
         raise DataError(f"model has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:

@@ -207,12 +207,13 @@ def covariance_at(model: FittedModel, x) -> np.ndarray:
     return np.multiply.outer(np.asarray(q), model.sigma_hat)
 
 
-def _check_symmetric(C: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _check_symmetric(C: np.ndarray, tol: float = 1e-9,
+                     name: str = "matrix") -> np.ndarray:
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("expected a square matrix")
     if np.max(np.abs(C - C.T)) > tol * max(1.0, np.max(np.abs(C))):
-        raise ValueError("matrix is not symmetric")
+        raise ValueError(f"{name} is not symmetric")
     return 0.5 * (C + C.T)
 
 

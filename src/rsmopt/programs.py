@@ -59,20 +59,19 @@ class MethodConfig:
     probability level of the Kataoka-style terms (0.5 makes the quantile
     term vanish). ``primary`` is 1-based and names the response kept as the
     objective in epsilon-constraint programs. ``r1`` in [0, 1] weighs the
-    mean in the E-model, and 1 - r1 the variance. ``variance_scale``
-    multiplies q(x) in scalarized objectives; it defaults to 1 and is only
-    ever set explicitly (the worked example uses N because q scales as 1/N
-    for an orthogonal design). Every numeric field must be a finite number
+    mean in the E-model, and 1 - r1 the variance. No field scales the
+    variance: the V-model and both modified E-models score N*q(x), the
+    scaled prediction variance (Box & Hunter 1957), with N the fit's
+    observation count. Every numeric field must be a finite number
     (``model.as_numbers``; a bool or a string is a ValueError naming the
-    field) and ``primary`` an integer >= 1; each constructor checks that a
-    config fits its model (see ``_require``).
+    field) and ``primary`` an integer >= 1; each constructor that reads a
+    field checks that a config fits its model (see ``_require``).
     """
 
     tau: np.ndarray | None = None
     w: np.ndarray | None = None
     confidence: float = 0.95
     r1: float = 0.5
-    variance_scale: float = 1.0
     primary: int | None = None
     epsilon: np.ndarray | None = None
 
@@ -80,7 +79,7 @@ class MethodConfig:
         for name in ("tau", "w", "epsilon"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, as_numbers(getattr(self, name), name))
-        for name in ("confidence", "r1", "variance_scale"):
+        for name in ("confidence", "r1"):
             object.__setattr__(self, name, float(as_numbers(getattr(self, name), name, ())))
         if self.primary is not None:
             object.__setattr__(self, "primary", as_integer(self.primary, "primary", 1))
@@ -91,8 +90,6 @@ class MethodConfig:
             raise ValueError("confidence must lie in (0, 1)")
         if not 0.0 <= self.r1 <= 1.0:
             raise ValueError("r1 must lie in [0, 1]")
-        if self.variance_scale <= 0:
-            raise ValueError("variance_scale must be positive")
 
 
 # A batch -> (objective, tuple of equality residuals), each of the batch shape.
@@ -194,13 +191,11 @@ def _require(model: FittedModel, cfg: MethodConfig, *names: str) -> None:
 def v_model(model: FittedModel, cfg: MethodConfig | None = None,
             region: Region | None = None) -> ScalarProgram:
     """Minimum-variance program: every matrix criterion of q(x)*Sigma shares
-    its argmin with q(x), so the objective is just (scaled) q."""
-    cfg = cfg or MethodConfig()
-    _require(model, cfg)
-    scale = cfg.variance_scale
+    its argmin with q(x), so the objective is the scaled prediction variance
+    N*q(x), N the model's observation count. It reads no config field."""
 
     def fn(m, q):
-        return scale * q, ()
+        return model.n_obs * q, ()
 
     return _program(model, fn, 0, region, "v-model")
 
@@ -219,9 +214,9 @@ def mean_weighting(model: FittedModel, cfg: MethodConfig,
 
 def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
                          region: Region | None = None) -> ScalarProgram:
-    """r1 * (weighted mean) + (1 - r1) * (scaled q), for r1 in [0, 1]."""
+    """r1 * (weighted mean) + (1 - r1) * N*q, for r1 in [0, 1]."""
     _require(model, cfg, "w")
-    w, r1, q_weight = cfg.w, cfg.r1, (1.0 - cfg.r1) * cfg.variance_scale
+    w, r1, q_weight = cfg.w, cfg.r1, (1.0 - cfg.r1) * model.n_obs
 
     def fn(m, q):
         return r1 * (m @ w) + q_weight * q, ()
@@ -231,17 +226,17 @@ def modified_e_weighting(model: FittedModel, cfg: MethodConfig,
 
 def modified_e_epsilon(model: FittedModel, cfg: MethodConfig,
                        region: Region | None = None) -> ScalarProgram:
-    """Minimize scaled q subject to every predicted mean hitting its target.
+    """Minimize N*q subject to every predicted mean hitting its target.
 
     The one program that does not read ``moments``: it takes m from
     ``predict`` and q from ``unit_variance``, two basis evaluations per
     batch, because the layered benchmark requires each of its basis calls
     to sit under one of those two spans. ROADMAP item 1 lifts that."""
     _require(model, cfg, "tau")
-    tau, scale = cfg.tau, cfg.variance_scale
+    tau = cfg.tau
 
     def fn(m, q):
-        return scale * q, tuple(m[..., k] - tau[k] for k in range(model.r))
+        return model.n_obs * q, tuple(m[..., k] - tau[k] for k in range(model.r))
 
     def read(x):
         return predict(model, x), np.asarray(unit_variance(model, x))
@@ -377,10 +372,10 @@ def goal_programming(model: FittedModel, cfg: MethodConfig,
 
 # Each method's constructor and the config fields it reads, by method name.
 METHODS = {
-    "v-model": (v_model, ("variance_scale",)),
+    "v-model": (v_model, ()),
     "mean-weighting": (mean_weighting, ("w",)),
-    "modified-e-weighting": (modified_e_weighting, ("w", "r1", "variance_scale")),
-    "modified-e-epsilon": (modified_e_epsilon, ("tau", "variance_scale")),
+    "modified-e-weighting": (modified_e_weighting, ("w", "r1")),
+    "modified-e-epsilon": (modified_e_epsilon, ("tau",)),
     "p-model-weighting": (p_model_weighting, ("tau", "w")),
     "p-model-epsilon": (p_model_epsilon, ("tau", "primary", "epsilon")),
     "kataoka-weighting": (kataoka_weighting, ("w", "confidence")),

@@ -332,6 +332,27 @@ class TestCommands:
         assert out == ""
         assert err.strip().splitlines() == [f"data error: bad model: {message}"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "model must be an object, got list"),
+        (lambda doc: 5, "model must be an object, got int"),
+        (lambda doc: doc["sigma_hat"][0].__setitem__(1, doc["sigma_hat"][0][1] + 1e-3),
+         "sigma_hat is not symmetric"),
+        (lambda doc: doc["xtx_inv"][2].__setitem__(0, 1e-6), "xtx_inv is not symmetric"),
+    ], ids=["list", "number", "sigma_hat", "xtx_inv"])
+    def test_model_that_is_not_an_object_or_not_symmetric_is_data_error(
+            self, model_path, tmp_path, edit, message, capsys):
+        """fit writes both covariance factors exactly symmetric, and JSON
+        floats round-trip, so one edited off-diagonal entry is a bad file."""
+        doc = json.loads(model_path.read_text())
+        doc = edit(doc) or doc
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(path), "--x", "0.5,0.5,0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"data error: bad model: {message}"]
+
     def test_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
@@ -359,8 +380,7 @@ def unreachable_config(small_config):
     targets (103, 73)."""
     doc = json.loads(small_config.read_text())
     doc["region"] = {"kind": "hypersphere", "radius": 1.2, "dim": 3}
-    doc["methods"] = [{"name": "modified-e-epsilon", "tau": [103, 73],
-                       "variance_scale": 32}]
+    doc["methods"] = [{"name": "modified-e-epsilon", "tau": [103, 73]}]
     small_config.write_text(json.dumps(doc))
     return small_config
 
@@ -404,7 +424,7 @@ def small_config(tmp_path):
         "region": {"kind": "hypercube", "lower": [-1, -1, -1], "upper": [1, 1, 1]},
         "solver": {"seed": 0, "multistart": 2},
         "methods": [
-            {"name": "v-model", "variance_scale": 32},
+            {"name": "v-model"},
             {"name": "mean-weighting", "w": [0.285, 0.715]},
         ],
         "fixed_points": [{"label": "baseline", "x": [1, 1, -1]}],
@@ -438,10 +458,10 @@ def test_unknown_config_key_is_data_error(small_config, level, key, capsys):
 
 # The config fields each method reads; a method config may set no other.
 METHOD_READS = {
-    "v-model": {"variance_scale"},
+    "v-model": set(),
     "mean-weighting": {"w"},
-    "modified-e-weighting": {"w", "r1", "variance_scale"},
-    "modified-e-epsilon": {"tau", "variance_scale"},
+    "modified-e-weighting": {"w", "r1"},
+    "modified-e-epsilon": {"tau"},
     "p-model-weighting": {"tau", "w"},
     "p-model-epsilon": {"tau", "primary", "epsilon"},
     "kataoka-weighting": {"w", "confidence"},
@@ -450,7 +470,10 @@ METHOD_READS = {
 }
 # A value of each method field that every method reading it accepts.
 FIELD_VALUES = {"tau": [103, 73], "w": [0.5, 0.5], "confidence": 0.95, "r1": 0.5,
-                "variance_scale": 32, "primary": 2, "epsilon": [1, 0]}
+                "primary": 2, "epsilon": [1, 0]}
+# Keys that are no field at all: r2 is always 1 - r1, and the variance scale
+# is always N, the fit's observation count.
+NOT_FIELDS = {"r2": 0.5, "variance_scale": 32}
 
 
 def method_doc(name, **extra):
@@ -461,7 +484,7 @@ def method_doc(name, **extra):
 
 def test_each_method_reads_the_fields_of_its_table_row():
     assert {name: set(reads) for name, (_, reads) in METHODS.items()} == METHOD_READS
-    assert sum(map(len, METHOD_READS.values())) == 20
+    assert sum(map(len, METHOD_READS.values())) == 17
     assert set(FIELD_VALUES) == {f.name for f in dataclasses.fields(MethodConfig)}
 
 
@@ -480,13 +503,16 @@ def test_method_with_every_field_it_reads_loads(small_config, method):
       for method, reads in sorted(METHOD_READS.items())
       for key in sorted(FIELD_VALUES) if key not in reads],
     pytest.param("modified-e-weighting", "r2", id="modified-e-weighting r2"),
+    *[pytest.param(method, "variance_scale", id=f"{method} variance_scale")
+      for method in sorted(METHOD_READS)],
 ])
 def test_method_field_the_method_does_not_read_is_data_error(small_config, method, key,
                                                              capsys, no_solve):
     """A field another method reads does nothing here, so it is an unknown
-    key; r2 is no key at all (the E-model's variance weight is 1 - r1)."""
+    key; r2 and variance_scale are no key at all (the E-model's variance
+    weight is 1 - r1, and every method scores the variance as N*q)."""
     doc = json.loads(small_config.read_text())
-    doc["methods"] = [method_doc(method, **{key: FIELD_VALUES.get(key, 0.5)})]
+    doc["methods"] = [method_doc(method, **{key: {**FIELD_VALUES, **NOT_FIELDS}[key]})]
     small_config.write_text(json.dumps(doc))
     assert main(["report", "--config", str(small_config)]) == 2
     out, err = capsys.readouterr()
@@ -509,6 +535,50 @@ def test_method_named_twice_is_data_error_naming_it(small_config, command, capsy
     assert out == ""
     assert err.strip().splitlines() == [
         f"data error: bad config {small_config}: method 'v-model' is repeated"]
+
+
+def _without(key):
+    return lambda target: target.pop(key)
+
+
+@pytest.mark.parametrize("where, edit, message", [
+    ("method", _without("name"), "method has no 'name'"),
+    ("fixed point", _without("label"), "fixed point has no 'label'"),
+    ("fixed point", _without("x"), "fixed point has no 'x'"),
+    ("top", _without("data"), "config has no 'data'"),
+    ("top", _without("terms"), "config has no 'terms'"),
+    ("top", _without("region"), "config has no 'region'"),
+    ("region", _without("kind"), "region has no 'kind'"),
+    ("top", lambda doc: doc["methods"].append(5), "method must be an object"),
+    ("top", lambda doc: doc["fixed_points"].append([1, 1, -1]),
+     "fixed point must be an object"),
+    ("top", lambda doc: doc.update(methods={"name": "v-model"}),
+     "methods must be a list, got {'name': 'v-model'}"),
+    ("top", lambda doc: doc.update(fixed_points={"label": "a", "x": [0, 0, 0]}),
+     "fixed_points must be a list, got {'label': 'a', 'x': [0, 0, 0]}"),
+    ("method", lambda m: m.update(name=["v-model"]),
+     "method name must be a string, got ['v-model']"),
+    ("region", lambda region: region.update(kind=["hypercube"]),
+     "region kind must be a string, got ['hypercube']"),
+    ("top", lambda doc: doc.update(data=5), "data must be a string, got 5"),
+    *[("fixed point", lambda fp, label=label: fp.update(label=label),
+       f"fixed point label must be a string, got {label!r}") for label in (5, None, [1])],
+], ids=["method name", "fixed point label", "fixed point x", "data", "terms", "region",
+        "region kind", "method 5", "fixed point list", "methods object",
+        "fixed_points object", "name list", "kind list", "data number", "label number",
+        "label null", "label list"])
+def test_missing_or_mistyped_config_key_is_data_error_naming_it(small_config, where, edit,
+                                                                message, capsys, no_solve):
+    """Through the default markdown report, which joins each fixed point's
+    label as text."""
+    doc = json.loads(small_config.read_text())
+    edit({"top": doc, "region": doc["region"], "method": doc["methods"][0],
+          "fixed point": doc["fixed_points"][0]}[where])
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"data error: bad config {small_config}: {message}"]
 
 
 def test_config_that_is_not_json_is_data_error_naming_the_file(tmp_path, capsys):
@@ -623,7 +693,7 @@ NUMERIC_CONFIG_KEYS = [
     ("fixed point", "x", "array"),
     ("solver", "seed", 0), ("solver", "multistart", 1),
     *[("method", key, "array") for key in ("tau", "w", "epsilon")],
-    *[("method", key, "number") for key in ("confidence", "r1", "variance_scale")],
+    *[("method", key, "number") for key in ("confidence", "r1")],
     ("method", "primary", 1),
 ]
 
@@ -706,7 +776,7 @@ def test_solver_defaults_come_from_solver_settings(small_config):
 
 @pytest.mark.parametrize("method, field", [
     ({"name": "kataoka-weighting"}, "w"),
-    ({"name": "modified-e-epsilon", "variance_scale": 32}, "tau"),
+    ({"name": "modified-e-epsilon"}, "tau"),
     ({"name": "p-model-epsilon", "tau": [103, 73], "epsilon": [3.9753, 0]}, "primary"),
     ({"name": "p-model-epsilon", "tau": [103, 73], "primary": 2}, "epsilon"),
     ({"name": "kataoka-epsilon", "tau": [103, 73]}, "primary"),
@@ -749,9 +819,7 @@ def test_fixed_point_of_the_wrong_length_is_data_error_naming_it(small_config, c
      "r1 must lie in [0, 1]"),
     ({"name": "modified-e-weighting", "w": [0.5, 0.5], "r1": -0.1},
      "r1 must lie in [0, 1]"),
-    ({"name": "v-model", "variance_scale": 0},
-     "variance_scale must be positive"),
-], ids=["w", "confidence", "r1 above 1", "r1 below 0", "variance_scale"])
+], ids=["w", "confidence", "r1 above 1", "r1 below 0"])
 def test_bad_method_field_is_data_error_naming_the_method(small_config, method,
                                                           message, capsys, no_solve):
     doc = json.loads(small_config.read_text())

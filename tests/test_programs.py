@@ -81,15 +81,15 @@ class TestMethodConfig:
             with pytest.raises(ValueError, match=r"r1 must lie in \[0, 1\]"):
                 MethodConfig(r1=bad)
 
-    @pytest.mark.parametrize("field", ["confidence", "r1", "variance_scale"])
+    @pytest.mark.parametrize("field", ["confidence", "r1"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_scalar(self, field, bad):
-        """NaN compares false, so a range check alone lets it through, and
-        an infinite variance_scale is positive."""
+        """NaN compares false, so a range check alone lets it through."""
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             MethodConfig(**{field: bad})
 
-    @pytest.mark.parametrize("name", sorted(METHODS))
+    @pytest.mark.parametrize("name", sorted(name for name, (_, reads) in METHODS.items()
+                                            if reads))
     @pytest.mark.parametrize("field, value, message", [
         ("tau", [103.0], "tau must have one entry per response (2), got [103.0]"),
         ("tau", [103.0, 73.0, 1.0], "tau must have one entry per response (2)"),
@@ -110,6 +110,14 @@ class TestMethodConfig:
             METHODS[name][0](example_model, dataclasses.replace(cfg, **{field: value}))
         assert message in str(info.value)
 
+    def test_v_model_reads_no_field(self, example_model):
+        """The one constructor that reads no field checks none: it scores
+        the same N*q for a config whose fields do not fit the model."""
+        cfg = MethodConfig(tau=[103.0], w=[1.0], primary=3, epsilon=[0.5, 0.0, 0.0])
+        x = np.random.default_rng(1).uniform(-1, 1, size=(20, 3))
+        assert np.array_equal(v_model(example_model, cfg).score(x)[0],
+                              v_model(example_model).score(x)[0])
+
     @pytest.mark.parametrize("name", sorted(METHODS))
     def test_table_constructor_builds_the_program_of_its_name(self, example_model, name):
         cfg = MethodConfig(tau=TAU, w=WEIGHTS, primary=2, epsilon=[3.9753, 0.0])
@@ -118,13 +126,15 @@ class TestMethodConfig:
 
 class TestVModel:
     def test_scaled_minimum_value(self, example_model):
-        prog = v_model(example_model, MethodConfig(variance_scale=32))
+        """N*q is 1 at the centre of the example's orthogonal design, where
+        q itself is 1/N = 1/32."""
+        prog = v_model(example_model)
+        assert example_model.n_obs == 32
         assert float(prog.objective(np.zeros(3))) == pytest.approx(1.0)
-        prog1 = v_model(example_model)
-        assert float(prog1.objective(np.zeros(3))) == pytest.approx(0.03125)
+        assert float(unit_variance(example_model, np.zeros(3))) == pytest.approx(0.03125)
 
     def test_corner_value(self, example_model):
-        prog = v_model(example_model, MethodConfig(variance_scale=32))
+        prog = v_model(example_model)
         assert float(prog.objective(np.ones(3))) == pytest.approx(7.0)
 
 
@@ -148,13 +158,13 @@ class TestMeanWeighting:
 
 class TestModifiedE:
     def test_weighting_at_reported_point(self, example_model):
-        cfg = MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32)
+        cfg = MethodConfig(w=WEIGHTS, r1=0.5)
         prog = modified_e_weighting(example_model, cfg)
         x = np.array([0.522, -1.0, 0.108])
         assert float(prog.objective(x)) == pytest.approx(39.59, abs=0.02)
 
     def test_r1_one_reduces_to_mean_weighting(self, example_model):
-        cfg = MethodConfig(w=WEIGHTS, r1=1.0, variance_scale=32)
+        cfg = MethodConfig(w=WEIGHTS, r1=1.0)
         prog = modified_e_weighting(example_model, cfg)
         base = mean_weighting(example_model, MethodConfig(w=WEIGHTS))
         rng = np.random.default_rng(5)
@@ -165,18 +175,14 @@ class TestModifiedE:
 
     def test_epsilon_feasible_at_origin_targets(self, example_model):
         tau0 = predict(example_model, np.zeros(3))
-        prog = modified_e_epsilon(
-            example_model, MethodConfig(tau=tau0, variance_scale=32)
-        )
+        prog = modified_e_epsilon(example_model, MethodConfig(tau=tau0))
         assert all(
             abs(float(c(np.zeros(3)))) < 1e-12 for c in prog.eq_constraints
         )
         assert float(prog.objective(np.zeros(3))) == pytest.approx(1.0)
 
     def test_epsilon_residuals_at_paper_point(self, example_model):
-        prog = modified_e_epsilon(
-            example_model, MethodConfig(tau=TAU, variance_scale=32)
-        )
+        prog = modified_e_epsilon(example_model, MethodConfig(tau=TAU))
         x = np.array([1.0, 0.707, 0.452])
         assert float(prog.objective(x)) == pytest.approx(3.511, abs=0.02)
         assert max(abs(float(c(x))) for c in prog.eq_constraints) <= 0.05
@@ -322,7 +328,7 @@ def reference_program(name, model, cfg):
     """(objective, constraints) of a method as separate callables, each of
     which evaluates the model on its own: the per-callable formulas the
     programs were built from before each method became one score function."""
-    scale, tau, w = cfg.variance_scale, cfg.tau, cfg.w
+    scale, tau, w = model.n_obs, cfg.tau, cfg.w
 
     def variance(x):
         return scale * np.asarray(unit_variance(model, x))
@@ -381,9 +387,33 @@ def quadratic_model_r3() -> FittedModel:
 
 # every field any of the eight methods reads, for the three-response model
 R3_CONFIG = MethodConfig(tau=[1.0, -2.0, 3.0], w=[0.2, 0.3, 0.5], confidence=0.9,
-                         r1=0.3, variance_scale=11.0, primary=2,
+                         r1=0.3, primary=2,
                          epsilon=[0.5, 0.0, -0.5])
 R3_MODEL = quadratic_model_r3()
+
+
+class TestVarianceScale:
+    """The v-model and both modified E-models score the variance as N*q(x),
+    N the model's observation count, whatever N is."""
+
+    @pytest.mark.parametrize("which", ["r3", "synthetic"])
+    def test_variance_term_is_n_obs_times_q(self, which):
+        model = (R3_MODEL if which == "r3" else
+                 synthetic_model([[2.0, -2.0], [1.0, -1.0]], np.eye(2), [0.1, 0.3]))
+        assert model.n_obs == {"r3": 11, "synthetic": 3}[which]
+        x = np.random.default_rng(3).uniform(-1, 1, size=(50, model.n))
+        m, q = fit.moments(model, x)
+        w, tau = np.full(model.r, 1.0 / model.r), m[7]
+
+        f, g = v_model(model).score(x)
+        assert np.array_equal(f, model.n_obs * q) and g == ()
+        f, g = modified_e_epsilon(model, MethodConfig(tau=tau)).score(x)
+        assert np.array_equal(f, model.n_obs * q)
+        assert all(np.array_equal(g[k], m[:, k] - tau[k]) for k in range(model.r))
+        for r1 in (0.0, 0.3):
+            f, g = modified_e_weighting(model, MethodConfig(w=w, r1=r1)).score(x)
+            assert np.array_equal(f, r1 * (m @ w) + (1.0 - r1) * model.n_obs * q)
+            assert g == ()
 
 
 def example_configs(run_config):

@@ -66,7 +66,7 @@ def region_grids(draw):
 
 class TestGridSearch:
     def test_v_model_paper_row(self, example_model):
-        prog = v_model(example_model, MethodConfig(variance_scale=32))
+        prog = v_model(example_model)
         res = grid_search(prog, 0.05)
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-12)
         assert res.f_star == pytest.approx(1.0)
@@ -76,13 +76,38 @@ class TestGridSearch:
         assert res.x_star.tolist() == [-1, -1, -1]
 
     def test_scaling_does_not_move_argmin(self, example_model):
-        x_ref = None
+        """The v-model scores N*q; any other positive scale of q has the
+        same grid argmin."""
+        x_ref = grid_search(v_model(example_model), 0.25).x_star
         for scale in (1.0, 32.0, 1000.0):
-            prog = v_model(example_model, MethodConfig(variance_scale=scale))
+            prog = ScalarProgram(
+                objective=lambda x, s=scale: s * moments(example_model, x)[1],
+                region=Region.unit_cube(3), descriptor=f"{scale} q")
             res = grid_search(prog, 0.25)
-            if x_ref is None:
-                x_ref = res.x_star
             assert np.allclose(res.x_star, x_ref)
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1000.0])
+    @pytest.mark.parametrize("r1", [0.2, 0.5, 0.8])
+    def test_r1_prime_gives_the_argmin_of_any_variance_scale(self, example_model,
+                                                             scale, r1):
+        """r1*(w.m) + (1 - r1)*s*q and r1'*(w.m) + (1 - r1')*N*q, for
+        r1' = N r1 / (N r1 + s (1 - r1)), are proportional, so the E-model
+        with r1' finds what any other variance scale s would."""
+        n_obs = example_model.n_obs
+
+        def scaled(x):
+            m, q = moments(example_model, x)
+            return r1 * (m @ WEIGHTS) + (1.0 - r1) * scale * q
+
+        hand_built = ScalarProgram(objective=scaled, region=Region.unit_cube(3),
+                                   descriptor=f"E-model at scale {scale}")
+        r1_prime = n_obs * r1 / (n_obs * r1 + scale * (1.0 - r1))
+        prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=r1_prime))
+        want = grid_search(hand_built, 0.05)
+        got = grid_search(prog, 0.05)
+        assert got.x_star.tolist() == want.x_star.tolist()
+        assert got.f_star == pytest.approx(want.f_star * (1.0 - r1_prime) * n_obs
+                                           / ((1.0 - r1) * scale), rel=1e-12)
 
     def test_grid_too_large(self):
         with pytest.raises(ValueError, match="grid too large"):
@@ -193,8 +218,7 @@ class TestGridSearch:
             multistart(prog, k=2, seed=0)
 
     def test_hypersphere_rejection(self, example_model):
-        prog = v_model(example_model, MethodConfig(variance_scale=1.0),
-                       region=Region.hypersphere(1.0, dim=3))
+        prog = v_model(example_model, region=Region.hypersphere(1.0, dim=3))
         res = grid_search(prog, 0.25)
         assert float(res.x_star @ res.x_star) <= 1.0
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-12)
@@ -225,8 +249,7 @@ def method_programs(model, region):
     m0 = moments(model, np.zeros(model.n))[0]
     r = model.r
     cfg = MethodConfig(tau=m0 + 1.0, w=np.full(r, 1.0 / r), confidence=0.9,
-                       r1=0.3, variance_scale=10.0, primary=1,
-                       epsilon=np.linspace(-0.5, 0.5, r))
+                       r1=0.3, primary=1, epsilon=np.linspace(-0.5, 0.5, r))
     return {name: build(model, cfg, region=region)
             for name, (build, _) in METHODS.items()}
 
@@ -295,10 +318,7 @@ class TestNelderMead:
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-4)
 
     def test_never_worse_than_start(self, example_model):
-        prog = modified_e_weighting(
-            example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
-        )
+        prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=0.5))
         x0 = np.array([0.9, -0.9, 0.9])
         res = nelder_mead(prog, x0)
         assert res.f_star <= float(prog.objective(x0))
@@ -310,10 +330,7 @@ class TestNelderMead:
         assert res.f_star <= float(prog.objective(np.zeros(3)))
 
     def test_paper_modified_e_weighting(self, example_model):
-        prog = modified_e_weighting(
-            example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
-        )
+        prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=0.5))
         warm = grid_search(prog, 0.1)
         res = nelder_mead(prog, warm.x_star)
         assert res.f_star == pytest.approx(39.588, abs=0.02)
@@ -354,10 +371,7 @@ class TestSlsqp:
         assert res.evaluations == len(rows)
 
     def test_never_worse_than_start(self, example_model):
-        prog = modified_e_weighting(
-            example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
-        )
+        prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=0.5))
         for x0 in ([0.9, -0.9, 0.9], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]):
             x0 = np.array(x0)
             res = slsqp(prog, x0)
@@ -377,16 +391,13 @@ class TestSlsqp:
         assert res.x_star.tolist() == [0.3, 0.0]
 
     def test_v_model_origin(self, example_model):
-        prog = v_model(example_model, MethodConfig(variance_scale=32))
+        prog = v_model(example_model)
         res = slsqp(prog, np.array([0.5, -0.5, 0.9]))
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-5)
         assert res.f_star == pytest.approx(1.0, abs=1e-9)
 
     def test_paper_modified_e_weighting(self, example_model):
-        prog = modified_e_weighting(
-            example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
-        )
+        prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=0.5))
         warm = grid_search(prog, 0.1)
         res = slsqp(prog, warm.x_star)
         assert res.f_star == pytest.approx(39.5895, abs=1e-4)
@@ -613,9 +624,7 @@ class TestPenaltySolve:
         assert np.max(res.constraint_residuals) < 1e-6
 
     def test_infeasible_targets_flagged(self, example_model):
-        prog = modified_e_epsilon(
-            example_model, MethodConfig(tau=[200.0, 0.0], variance_scale=32)
-        )
+        prog = modified_e_epsilon(example_model, MethodConfig(tau=[200.0, 0.0]))
         res = penalty_solve(prog, grid_search(prog, 0.1).x_star)
         assert not res.converged
         assert np.max(res.constraint_residuals) > 1e-2
@@ -624,8 +633,7 @@ class TestPenaltySolve:
         # start -> solve -> solve again from the result: the largest
         # residual never grows along the sequence, reachable targets or not
         for tau in (TAU, [200.0, 0.0]):
-            prog = modified_e_epsilon(example_model,
-                                      MethodConfig(tau=tau, variance_scale=32))
+            prog = modified_e_epsilon(example_model, MethodConfig(tau=tau))
             for x0 in [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 4, 0)]:
                 x = prog.region.clip(x0)
                 residuals = [np.max(solve._residuals_at(prog, x))]
@@ -636,9 +644,7 @@ class TestPenaltySolve:
                     assert later <= earlier + 1e-9 * max(1.0, earlier)
 
     def test_stagnating_infeasible_sequence_stops(self, example_model):
-        prog = modified_e_epsilon(
-            example_model, MethodConfig(tau=[200.0, 0.0], variance_scale=32)
-        )
+        prog = modified_e_epsilon(example_model, MethodConfig(tau=[200.0, 0.0]))
         batches = []
         recording = dataclasses.replace(
             prog, scorer=lambda x: batches.append(np.shape(x)) or prog.score(x))
@@ -695,17 +701,14 @@ class TestMultistart:
         assert res.f_star <= oracle.f_star + 1e-6
 
     def test_seed_determinism(self, example_model):
-        prog = modified_e_weighting(
-            example_model,
-            MethodConfig(w=WEIGHTS, r1=0.5, variance_scale=32),
-        )
+        prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=0.5))
         a = multistart(prog, k=4, seed=42)
         b = multistart(prog, k=4, seed=42)
         assert a.f_star == b.f_star
         assert a.x_star.tolist() == b.x_star.tolist()
 
     def test_k1_from_oracle_never_worse(self, example_model):
-        prog = v_model(example_model, MethodConfig(variance_scale=32))
+        prog = v_model(example_model)
         oracle = grid_search(prog, 0.1)
         res = multistart(prog, k=1, seed=0)
         assert res.f_star <= oracle.f_star + 1e-12
@@ -724,9 +727,7 @@ class TestMultistart:
         assert not _better(dataclasses.replace(exact, converged=False), bought)
 
     def test_result_in_region(self, example_model):
-        prog = modified_e_epsilon(
-            example_model, MethodConfig(tau=TAU, variance_scale=32)
-        )
+        prog = modified_e_epsilon(example_model, MethodConfig(tau=TAU))
         res = multistart(prog, k=4, seed=0)
         assert prog.region.contains(res.x_star, atol=1e-9)
 
