@@ -3,7 +3,6 @@
 from .model import (
     ExperimentData,
     Region,
-    Run,
     TermSpec,
     build_design_matrix,
     evaluate_basis,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import programs as prog
 from .fit import FittedModel, _check_symmetric, fit_ols, moments
-from .model import (ExperimentData, Region, Run, TermSpec, as_integer, as_numbers,
+from .model import (ExperimentData, Region, TermSpec, as_integer, as_numbers,
                     build_design_matrix)
 from .programs import MethodConfig, ScalarProgram
 from .solve import SolveResult, multistart
@@ -61,17 +62,32 @@ def _long_layout(path: Path, header: list[str]):
     if missing:
         raise DataError(f"{path}: missing columns {sorted(missing)}")
     return lambda row: [(row["response"].strip(), int(row["replicate"]),
-                         float(row["value"]))]
+                         _finite(row, "value"))]
 
 
 def _wide_layout(path: Path, header: list[str]):
     """A cell per <response>_<replicate> column."""
     if "ID" not in header:
         raise DataError(f"{path}: wide format needs ID and x1..xn columns")
-    rep_cols = [(h, *h.rsplit("_", 1)) for h in header if "_" in h]
+    rep_cols = []
+    for h in (h for h in header if "_" in h):
+        name, rep = h.rsplit("_", 1)
+        try:
+            rep_cols.append((h, name, int(rep)))
+        except ValueError:
+            raise DataError(f"{path}: column {h!r} does not end in _<replicate>, "
+                            f"an integer") from None
     if not rep_cols:
         raise DataError(f"{path}: no response replicate columns")
-    return lambda row: [(name, int(rep), float(row[h])) for h, name, rep in rep_cols]
+    return lambda row: [(name, rep, _finite(row, h)) for h, name, rep in rep_cols]
+
+
+def _finite(row: dict, column: str) -> float:
+    """``row[column]`` as a finite float (``float`` alone takes nan, inf and 1e999)."""
+    value = float(row[column])
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {row[column]!r}")
+    return value
 
 
 def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData:
@@ -104,7 +120,7 @@ def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData
             for row in reader:
                 if None in row.values():  # csv's filler for a short row
                     raise ValueError(f"fewer than {len(header)} cells")
-                run = (int(row[id_col]), tuple(float(row[c]) for c in x_cols))
+                run = (int(row[id_col]), tuple(_finite(row, c) for c in x_cols))
                 rows += [(run, cell) for cell in cells_of(row)]
         except (csv.Error, TypeError, ValueError) as exc:
             # DictReader's own line_num stops at its last whole row
@@ -115,26 +131,25 @@ def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData
 
 
 def _assemble(rows, response_order, origin: Path) -> ExperimentData:
-    """The runs in id order. Each run's factor settings must agree, and its
-    replicate x response table must have every cell exactly once."""
+    """One row per replicate, in run-id order and then replicate order. Each
+    run's factor settings must agree, and its replicate x response table
+    must have every cell exactly once."""
     responses = list(dict.fromkeys(resp for _, (resp, _, _) in rows))
-    if response_order and (len(response_order) != len(responses)
-                           or set(response_order) != set(responses)):
-        raise DataError(f"{origin}: response order {response_order} does not "
-                        f"match observed responses {responses}")
-    responses = list(response_order or responses)
+    if response_order is not None:
+        if len(response_order) != len(responses) or set(response_order) != set(responses):
+            raise DataError(f"{origin}: response order {response_order} does not "
+                            f"match observed responses {responses}")
+        responses = list(response_order)
     by_run: dict[int, tuple[tuple, dict]] = {}
     for (run_id, x), (resp, rep, value) in rows:
         settings, cells = by_run.setdefault(run_id, (x, {}))
         if settings != x:
             raise DataError(f"{origin}: run {run_id} has inconsistent factor settings")
         cells.setdefault((rep, resp), []).append(value)
-    runs = []
+    table = []
     for run_id in sorted(by_run):
         x, cells = by_run[run_id]
-        y = []
         for rep in sorted({rep for rep, _ in cells}):
-            y.append([])
             for resp in responses:
                 values = cells.get((rep, resp), [])
                 if len(values) != 1:
@@ -142,9 +157,9 @@ def _assemble(rows, response_order, origin: Path) -> ExperimentData:
                              "is missing: replicate sets differ between responses")
                     raise DataError(f"{origin}: run {run_id}, response {resp}, "
                                     f"replicate {rep} {fault}")
-                y[-1].append(values[0])
-        runs.append(Run(run_id=run_id, x=np.array(x), y=np.array(y)))
-    return ExperimentData(runs=tuple(runs), response_names=tuple(responses))
+            table.append((run_id, x, [cells[rep, resp][0] for resp in responses]))
+    run_ids, xs, ys = zip(*table)
+    return ExperimentData(np.array(run_ids), np.array(xs), np.array(ys), tuple(responses))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "TermSpec",
     "Region",
-    "Run",
     "ExperimentData",
     "evaluate_basis",
     "build_design_matrix",
@@ -224,58 +223,39 @@ class Region:
 
 
 @dataclass(frozen=True)
-class Run:
-    """One design point: coded factor settings and replicated observations.
+class ExperimentData:
+    """One row per observation, in run-id order and then replicate order:
+    ``run_ids`` (N,), coded factor settings ``x`` (N, n) and responses ``y``
+    (N, r). A run's replicates are rows that share its id and settings, so
+    replicate counts may differ between runs. ``response_names`` defaults
+    to Y1..Yr."""
 
-    ``y`` has one row per replicate and one column per response, so
-    replicate counts may differ between runs.
-    """
-
-    run_id: int
+    run_ids: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    response_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        if y.shape[0] < 1:
-            raise ValueError(f"run {self.run_id}: needs at least one replicate")
+        run_ids = np.asarray(self.run_ids)
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        if run_ids.ndim != 1 or x.ndim != 2 or y.ndim != 2:
+            raise ValueError("run_ids must be 1-d, x and y 2-d")
+        if not len(run_ids):
+            raise ValueError("no observations")
+        if not len(run_ids) == len(x) == len(y):
+            raise ValueError(f"run_ids, x and y must have as many rows, "
+                             f"got {len(run_ids)}, {len(x)} and {len(y)}")
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"run {run_ids[~finite][0]}: non-finite values")
+        names = self.response_names or tuple(f"Y{k + 1}" for k in range(y.shape[1]))
+        if len(names) != y.shape[1]:
+            raise ValueError(f"{len(names)} response names for {y.shape[1]} responses")
+        object.__setattr__(self, "run_ids", run_ids)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
-class ExperimentData:
-    runs: tuple[Run, ...]
-    response_names: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if not self.runs:
-            raise ValueError("no runs")
-        n = self.runs[0].x.size
-        r = self.runs[0].y.shape[1]
-        for run in self.runs:
-            if run.x.size != n:
-                raise ValueError(f"run {run.run_id}: inconsistent factor count")
-            if run.y.shape[1] != r:
-                raise ValueError(f"run {run.run_id}: inconsistent response count")
-            if not np.all(np.isfinite(run.y)) or not np.all(np.isfinite(run.x)):
-                raise ValueError(f"run {run.run_id}: non-finite values")
-        if not self.response_names:
-            object.__setattr__(
-                self, "response_names", tuple(f"Y{k + 1}" for k in range(r))
-            )
-        if len(self.response_names) != r:
-            raise ValueError("response_names length mismatch")
-
-    @property
-    def n_factors(self) -> int:
-        return self.runs[0].x.size
-
-    @property
-    def n_observations(self) -> int:
-        """Total replicate count = row count of the expanded design matrix."""
-        return sum(run.y.shape[0] for run in self.runs)
+        object.__setattr__(self, "response_names", tuple(names))
 
 
 def evaluate_basis(x, terms: TermSpec) -> np.ndarray:
@@ -304,19 +284,8 @@ def evaluate_basis(x, terms: TermSpec) -> np.ndarray:
 def build_design_matrix(
     data: ExperimentData, terms: TermSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand replicates into rows of X and stack Y in the same order.
-
-    Returns (X, Y) with shapes (N, p) and (N, r); replicate rows of the
-    same run share the same basis row.
-    """
-    if terms.n != data.n_factors:
+    """X (N, p) with row i = z(data.x[i]), and Y = data.y (N, r)."""
+    if terms.n != data.x.shape[1]:
         raise ValueError("term spec and data disagree on factor count")
-    reps = [run.y.shape[0] for run in data.runs]
-    X = np.repeat(evaluate_basis(np.stack([run.x for run in data.runs]), terms),
-                  reps, axis=0)
-    Y = np.concatenate([run.y for run in data.runs], axis=0)
-    if terms.p > X.shape[0]:
-        raise ValueError(
-            f"underdetermined design: p={terms.p} exceeds N={X.shape[0]}"
-        )
-    return X, Y
+    # C order: the fit's last bits depend on X's layout, and evaluate_basis gives F order
+    return np.ascontiguousarray(evaluate_basis(data.x, terms)), data.y

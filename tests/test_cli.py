@@ -16,6 +16,7 @@ from rsmopt import cli
 from rsmopt.cli import (
     DataError,
     build_report,
+    fit_from_config,
     ingest_csv,
     ingest_csv_wide,
     load_config,
@@ -37,23 +38,23 @@ def write_csv(tmp_path, name, text):
 
 def assert_same_data(got, want):
     assert got.response_names == want.response_names
-    assert [run.run_id for run in got.runs] == [run.run_id for run in want.runs]
-    for a, b in zip(got.runs, want.runs):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.y, b.y)
+    assert np.array_equal(got.run_ids, want.run_ids)
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.y, want.y)
 
 
 class TestIngestLong:
     def test_round_trip_against_raw_table(self):
         data = ingest_csv(LONG_CSV, response_order=["Y1", "Y2"])
-        assert data.n_observations == 32
+        assert data.y.shape == (32, 2)
         assert data.response_names == ("Y1", "Y2")
-        by_id = {run.run_id: run for run in data.runs}
+        # one row per replicate, in run-id order and then replicate order
+        assert data.run_ids.tolist() == [run_id for run_id in range(1, 9) for _ in range(4)]
         for run_id, x, y1, y2 in RAW_RUNS:
-            run = by_id[run_id]
-            assert run.x.tolist() == list(x)
-            assert run.y[:, 0].tolist() == y1
-            assert run.y[:, 1].tolist() == y2
+            rows = data.run_ids == run_id
+            assert data.x[rows].tolist() == [list(x)] * 4
+            assert data.y[rows, 0].tolist() == y1
+            assert data.y[rows, 1].tolist() == y2
 
     def test_header_only(self, tmp_path):
         path = write_csv(tmp_path, "empty.csv",
@@ -111,6 +112,12 @@ class TestIngestWide:
     def test_bad_response_order(self):
         with pytest.raises(DataError, match="does not"):
             ingest_csv_wide(WIDE_CSV, response_order=["Y1", "Y3"])
+
+    def test_both_layouts_fit_bit_for_bit(self, run_config):
+        wide = fit_from_config(run_config, ingest_csv_wide(WIDE_CSV, response_order=["Y1", "Y2"]))
+        long = fit_from_config(run_config, ingest_csv(LONG_CSV, response_order=["Y1", "Y2"]))
+        for key in ("b_hat", "sigma_hat", "xtx_inv", "residuals"):
+            assert np.array_equal(getattr(wide, key), getattr(long, key)), key
 
     def test_needs_id_column(self, tmp_path):
         path = write_csv(tmp_path, "bad.csv", "x1,Y1_1\n0,5.0\n")
@@ -182,7 +189,9 @@ def test_both_layouts_of_a_table_ingest_the_same(tmp_path_factory, table, data):
         [f"ID,{x_head},{wide_head}", *data.draw(st.permutations(wide_rows))]))
     got = ingest_csv(long, response_order=names)
     assert_same_data(got, ingest_csv_wide(wide, response_order=names))
-    assert [(run.run_id, run.x.tolist(), run.y.tolist()) for run in got.runs] == sorted(runs)
+    # one row per replicate, in run-id order and then replicate order
+    rows = [(run_id, x.tolist(), y.tolist()) for run_id, x, y in zip(got.run_ids, got.x, got.y)]
+    assert rows == [(run_id, x, y_rep) for run_id, x, y in sorted(runs) for y_rep in y]
 
 
 class TestModelPersistence:
@@ -852,6 +861,20 @@ def test_responses_must_be_a_list_of_distinct_strings(small_config, responses, c
         assert f"responses must be a list of distinct strings, got {responses!r}" in err
 
 
+def test_empty_responses_list_is_data_error(small_config, capsys, no_solve):
+    """An empty list names no observed response, so it is no order."""
+    doc = json.loads(small_config.read_text())
+    doc["responses"] = []
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"data error: {WIDE_CSV}: response order [] does not match "
+                   f"observed responses ['Y1', 'Y2']\n")
+    with pytest.raises(DataError, match=r"response order \[\] does not match"):
+        ingest_csv(LONG_CSV, response_order=[])
+
+
 def fit_on(config, tmp_path, text, wide):
     """rsmopt fit's exit code with ``text`` as the config's data."""
     doc = json.loads(config.read_text())
@@ -876,6 +899,36 @@ def test_long_row_that_stops_before_its_response_is_data_error(small_config, tmp
     assert fit_on(small_config, tmp_path, text + "9,1,1,1\n", False) == 2
     line = len(text.splitlines()) + 1
     assert f"data.csv:{line}: bad row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wide, line, column, text", [
+    (False, 3, "value", "nan"),
+    (False, 5, "x2", "inf"),
+    (True, 2, "Y2_4", "1e999"),
+    (True, 4, "x1", "-inf"),
+], ids=["long value", "long factor", "wide value", "wide factor"])
+def test_non_finite_cell_is_a_bad_row(small_config, tmp_path, wide, line, column, text,
+                                      capsys):
+    """``float`` takes nan, inf and 1e999; a cell must be a finite number."""
+    lines = (WIDE_CSV if wide else LONG_CSV).read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[line - 1] = ",".join(cells)
+    assert fit_on(small_config, tmp_path, "\n".join(lines) + "\n", wide) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"data error: {tmp_path / 'data.csv'}:{line}: bad row "
+                   f"({column} must be finite, got {text!r})\n")
+
+
+def test_bad_replicate_suffix_is_a_header_error_naming_the_column(small_config, tmp_path,
+                                                                  capsys):
+    text = WIDE_CSV.read_text().replace("Y2_4", "Y2_x", 1)
+    assert fit_on(small_config, tmp_path, text, True) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"data error: {tmp_path / 'data.csv'}: column 'Y2_x' does not end "
+                   f"in _<replicate>, an integer\n")
 
 
 @pytest.mark.parametrize("where, line", [("value cell", 2), ("header", 1)])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsmopt.fit import fit_ols
 from rsmopt.model import (
     ExperimentData,
     Region,
-    Run,
     TermSpec,
     as_integer,
     as_numbers,
@@ -269,23 +269,76 @@ class TestDesignMatrix:
         assert np.allclose(X.T @ X, 32 * np.eye(7))
 
     def test_single_run_intercept_only(self):
-        data = ExperimentData(runs=(Run(1, [0.3], [[1.0]]),))
+        data = ExperimentData(run_ids=[1], x=[[0.3]], y=[[1.0]])
         X, Y = build_design_matrix(data, TermSpec(n=1, terms=((),)))
         assert X.tolist() == [[1.0]]
 
     def test_two_point_linear(self):
-        data = ExperimentData(
-            runs=(Run(1, [1.0], [[2.0]]), Run(2, [-1.0], [[0.0]]))
-        )
+        data = ExperimentData(run_ids=[1, 2], x=[[1.0], [-1.0]], y=[[2.0], [0.0]])
         spec = TermSpec(n=1, terms=((), (0,)))
         X, _ = build_design_matrix(data, spec)
         assert X.tolist() == [[1, 1], [1, -1]]
 
     def test_underdetermined(self):
-        data = ExperimentData(runs=(Run(1, [0.0, 0.0], [[1.0]]),))
-        with pytest.raises(ValueError, match="underdetermined"):
-            build_design_matrix(data, TermSpec.full_second_order(2))
+        """N <= p is rejected by the fit, not by the design matrix."""
+        data = ExperimentData(run_ids=[1], x=[[0.0, 0.0]], y=[[1.0]])
+        spec = TermSpec.full_second_order(2)
+        X, Y = build_design_matrix(data, spec)
+        assert X.shape == (1, 6)
+        with pytest.raises(ValueError, match=r"need N > p, got N=1, p=6"):
+            fit_ols(X, Y, spec)
 
     def test_row_count_equals_replicates(self, example_data):
         X, _ = build_design_matrix(example_data, interaction_spec())
-        assert X.shape[0] == example_data.n_observations == 32
+        assert X.shape[0] == len(example_data.run_ids) == len(example_data.y) == 32
+
+    def test_x_is_c_contiguous_and_equals_the_basis_row_by_row(self, example_data):
+        """The fit's last bits depend on X's memory layout, so X is C order
+        whatever layout evaluate_basis returns."""
+        spec = TermSpec.full_second_order(3)
+        X, Y = build_design_matrix(example_data, spec)
+        assert X.flags.c_contiguous
+        for row, x in zip(X, example_data.x):
+            assert np.array_equal(row, evaluate_basis(x, spec))
+        assert np.array_equal(Y, example_data.y)
+
+    def test_factor_count_must_match(self, example_data):
+        with pytest.raises(ValueError, match="disagree on factor count"):
+            build_design_matrix(example_data, TermSpec.full_second_order(2))
+
+
+class TestExperimentData:
+    def test_ragged_replicate_counts(self):
+        """Run 1 has one replicate and run 2 three: four rows."""
+        data = ExperimentData(run_ids=[1, 2, 2, 2], x=[[0.0], [1.0], [1.0], [1.0]],
+                              y=[[5.0, 1.0], [6.0, 2.0], [6.5, 2.5], [7.0, 3.0]])
+        assert data.run_ids.tolist() == [1, 2, 2, 2]
+        assert data.x.shape == (4, 1) and data.y.shape == (4, 2)
+        assert data.x.dtype == data.y.dtype == float
+        assert data.response_names == ("Y1", "Y2")
+        X, _ = build_design_matrix(data, TermSpec(n=1, terms=((), (0,))))
+        assert X.tolist() == [[1, 0], [1, 1], [1, 1], [1, 1]]
+
+    def test_names_are_kept(self):
+        data = ExperimentData(run_ids=[3], x=[[0.0]], y=[[1.0, 2.0]],
+                              response_names=["yield", "purity"])
+        assert data.response_names == ("yield", "purity")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(run_ids=[1, 2], x=[[0.0]], y=[[1.0], [2.0]]),
+         "run_ids, x and y must have as many rows, got 2, 1 and 2"),
+        (dict(run_ids=[1, 2], x=[[0.0], [1.0]], y=[[1.0]]),
+         "run_ids, x and y must have as many rows, got 2, 2 and 1"),
+        (dict(run_ids=[4, 7, 7], x=[[0.0], [1.0], [1.0]], y=[[1.0], [2.0], [np.nan]]),
+         "run 7: non-finite values"),
+        (dict(run_ids=[4, 9], x=[[0.0], [np.inf]], y=[[1.0], [2.0]]),
+         "run 9: non-finite values"),
+        (dict(run_ids=[1], x=[[0.0]], y=[[1.0, 2.0]], response_names=("Y1",)),
+         "1 response names for 2 responses"),
+        (dict(run_ids=[], x=np.empty((0, 1)), y=np.empty((0, 1))), "no observations"),
+        (dict(run_ids=[1], x=[0.0], y=[[1.0]]), "run_ids must be 1-d, x and y 2-d"),
+    ], ids=["x rows", "y rows", "nan response", "inf factor", "name count", "no rows",
+            "1-d x"])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentData(**kwargs)
