@@ -4,7 +4,7 @@ Subcommands::
 
     rsmopt fit      --config cfg.json [--out model.json]
     rsmopt eval     --model model.json --x 1,1,-1
-    rsmopt optimize --config cfg.json --method kataoka-epsilon [--seed N]
+    rsmopt optimize --config cfg.json --method kataoka-epsilon [--out path]
     rsmopt report   --config cfg.json [--format json|md] [--out path]
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 solver failure.
@@ -94,9 +94,9 @@ def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData
     """The data of a CSV file whose rows each give a run id in ``id_col``,
     factor settings in x1..xn (numbered without a gap) and the cells that
     ``layout(path, header)`` maps a row to, once it has checked the
-    stripped header. A bad or missing cell, or a line the csv module cannot
-    parse (a cell past its field size limit, say), is a DataError naming
-    its line."""
+    stripped header, where no name may repeat. A bad or missing cell, or a
+    line the csv module cannot parse (a cell past its field size limit,
+    say), is a DataError naming its line."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
@@ -108,6 +108,9 @@ def _read_csv(path: Path, id_col: str, layout, response_order) -> ExperimentData
         if fieldnames is None:
             raise DataError(f"{path}: empty file")
         header = reader.fieldnames = [h.strip() for h in fieldnames]
+        for i, name in enumerate(header):
+            if name in header[:i]:  # DictReader would keep only the last column
+                raise DataError(f"{path}: column {name!r} is repeated")
         x_cols = sorted(
             (h for h in header if h.startswith("x") and h[1:].isdigit()),
             key=lambda h: int(h[1:]),
@@ -168,7 +171,6 @@ def _assemble(rows, response_order, origin: Path) -> ExperimentData:
 
 @dataclass
 class SolverSettings:
-    seed: int = 0
     multistart_k: int = 16  # the most quasi-random starts; ``multistart`` may stop sooner
 
 
@@ -195,7 +197,7 @@ class RunConfig:
 CONFIG_KEYS = {"data", "wide", "responses", "terms", "region", "solver",
                "methods", "fixed_points"}
 REGION_KEYS = {"kind", "lower", "upper", "radius", "dim"}
-SOLVER_KEYS = {"seed", "multistart"}
+SOLVER_KEYS = {"multistart"}
 FIXED_POINT_KEYS = {"label", "x"}
 
 
@@ -257,11 +259,9 @@ def load_config(path: str | Path) -> RunConfig:
             fixed.append((label, as_numbers(fp["x"], f"fixed point {label!r} x", (terms.n,))))
         solver_doc = doc.get("solver", {})
         _check_keys(solver_doc, SOLVER_KEYS, "solver")
-        # only the keys given: SolverSettings holds the defaults
-        solver = SolverSettings(**{
-            name: as_integer(solver_doc[key], f"solver {key}", least)
-            for name, key, least in (("seed", "seed", 0), ("multistart_k", "multistart", 1))
-            if key in solver_doc})
+        solver = SolverSettings()  # the default unless the key is given
+        if "multistart" in solver_doc:
+            solver.multistart_k = as_integer(solver_doc["multistart"], "solver multistart", 1)
         wide = doc.get("wide", False)
         if not isinstance(wide, bool):
             raise DataError(f"wide must be true or false, got {wide!r}")
@@ -393,7 +393,7 @@ def _row_from_x(model: FittedModel, label: str, x: np.ndarray,
 
 def optimize_method(model: FittedModel, spec: MethodSpec, program: ScalarProgram,
                     solver: SolverSettings) -> tuple[SolveResult, dict]:
-    result = multistart(program, k=solver.multistart_k, seed=solver.seed)
+    result = multistart(program, k=solver.multistart_k)
     row = _row_from_x(
         model, spec.name, result.x_star,
         f_star=result.f_star,
@@ -422,7 +422,7 @@ def build_report(model: FittedModel, config: RunConfig) -> dict:
         rows.append(row)
     for label, x in config.fixed_points:
         rows.append(_row_from_x(model, label, x))
-    return {"rows": rows, "failed": failed, "seed": config.solver.seed}
+    return {"rows": rows, "failed": failed}
 
 
 def report_markdown(report: dict, response_names: list[str] | None = None) -> str:
@@ -509,11 +509,8 @@ def _float_or_text(text: str):
 
 
 def _fitted(args) -> tuple[RunConfig, ExperimentData, FittedModel]:
-    """The config named by ``args`` with its ``--seed`` applied, its data,
-    and the model fitted to them."""
+    """The config named by ``args``, its data, and the model fitted to them."""
     config = load_config(args.config)
-    if args.seed is not None:
-        config.solver.seed = args.seed
     data = _load_data(config)
     return config, data, fit_from_config(config, data)
 
@@ -549,13 +546,6 @@ def cmd_report(args) -> int:
     return EXIT_SOLVER if report["failed"] else EXIT_OK
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsmopt")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -574,14 +564,12 @@ def make_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run one configured method")
     p_opt.add_argument("--config", required=True)
     p_opt.add_argument("--method", required=True)
-    p_opt.add_argument("--seed", type=_seed)
     p_opt.add_argument("--out")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_rep = sub.add_parser("report", help="run every configured method")
     p_rep.add_argument("--config", required=True)
     p_rep.add_argument("--format", choices=["json", "md"])
-    p_rep.add_argument("--seed", type=_seed)
     p_rep.add_argument("--out")
     p_rep.set_defaults(func=cmd_report)
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TermSpec, evaluate_basis
+from .model import TermSpec, as_integer, evaluate_basis
 
 __all__ = [
     "SingularDesignError",
@@ -228,7 +228,7 @@ def eigen_sym(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def matrix_criterion(C: np.ndarray, kind: str, j: int | None = None) -> float:
     """Scalar ranking functions of a covariance matrix.
 
-    ``lambda_j`` indexes the descending spectrum with 1-based j.
+    ``lambda_j`` indexes the descending spectrum with 1-based integer j.
     """
     C = _check_symmetric(C)
     if kind == "trace":
@@ -243,7 +243,7 @@ def matrix_criterion(C: np.ndarray, kind: str, j: int | None = None) -> float:
     if kind == "lambda_min":
         return float(vals[-1])
     if kind == "lambda_j":
-        if j is None or not 1 <= j <= C.shape[0]:
+        if as_integer(j, "j", 1) > C.shape[0]:
             raise ValueError(f"lambda_j needs 1 <= j <= {C.shape[0]}")
         return float(vals[j - 1])
     raise ValueError(f"unknown criterion {kind!r}")

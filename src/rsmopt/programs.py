@@ -389,9 +389,8 @@ def normal_quantile(prob: float) -> float:
     prob = float(prob)
     if not 0.0 < prob < 1.0:
         raise ValueError("probability must lie strictly inside (0, 1)")
-    from scipy.special import ndtri  # imported on first use: scipy loads slowly
-
-    return float(ndtri(prob))
+    from statistics import NormalDist  # imported on first use: `import rsmopt` skips it
+    return NormalDist().inv_cdf(prob)
 
 
 def joint_probability_mc(model: FittedModel, x, tau, n_samples: int,
@@ -399,11 +398,12 @@ def joint_probability_mc(model: FittedModel, x, tau, n_samples: int,
     """Monte-Carlo estimate of P(all predicted responses <= tau) at x.
 
     Draws from Normal(m(x), q(x)*Sigma) through the symmetric matrix
-    square root; returns (estimate, binomial standard error). ``tau`` must
-    hold one finite target per response and ``n_samples`` be an integer of
-    at least 1000.
+    square root; returns (estimate, binomial standard error). ``x`` must
+    hold one finite coordinate per factor, ``tau`` one finite target per
+    response, ``n_samples`` be an integer >= 1000 and ``seed`` one >= 0.
     """
-    n_samples = as_integer(n_samples, "n_samples", 1000)
+    n_samples, seed = as_integer(n_samples, "n_samples", 1000), as_integer(seed, "seed", 0)
+    x = as_numbers(x, "x", (model.n,))
     tau = as_numbers(tau, "tau", (model.r,))
     mean, q = moments(model, x)
     root = matrix_sqrt(q * model.sigma_hat)

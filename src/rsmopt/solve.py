@@ -402,18 +402,29 @@ def penalty_solve(program: ScalarProgram, x0) -> SolveResult:
 
 
 def _start_points(program: ScalarProgram, k: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc  # imported on first use: scipy loads slowly
-
+    """Points seed*k + 1 ... seed*k + k of the unscrambled Halton sequence
+    (Halton 1960; point 0 is the box's lower corner), scaled to the region's
+    bounding box and clipped into it: coordinate d of point i is the radical
+    inverse of i in the d-th prime, its digits summed least significant first."""
     region = program.region
     lo, hi = region.bounding_box()
-    sampler = qmc.Halton(d=lo.size, seed=seed)
-    pts = qmc.scale(sampler.random(k), lo, hi)
-    return region.clip(pts)
+    primes = [2]
+    while len(primes) < lo.size:  # Bertrand: a prime lies between p and 2p
+        primes.append(next(c for c in range(primes[-1] + 1, 2 * primes[-1])
+                           if all(c % p for p in primes)))
+    index = np.arange(seed * k + 1, seed * k + k + 1)[:, None] + np.zeros(lo.size, dtype=int)
+    pts, scale = np.zeros(index.shape), np.ones(lo.size)
+    while index.any():
+        scale /= primes
+        index, digit = np.divmod(index, primes)
+        pts += digit * scale
+    return region.clip(pts * (hi - lo) + lo)
 
 
 def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResult:
     """Best of local searches from the coarse-grid incumbent and at most k
-    quasi-random starts; deterministic given the seed.
+    quasi-random starts: seed s takes points s*k + 1 ... s*k + k of the
+    Halton sequence (``_start_points``), and the CLI always passes seed 0.
 
     The starts stop early by the Bayesian rule of Boender & Rinnooy Kan
     (1987, *Math. Programming* 37:59). The solves so far, N of them with the

@@ -51,11 +51,7 @@ def solutions(run_config, example_model):
         if name not in cache:
             spec = next(m for m in run_config.methods if m.name == name)
             program = build_program(example_model, spec, run_config.region)
-            cache[name] = multistart(
-                program,
-                k=run_config.solver.multistart_k,
-                seed=run_config.solver.seed,
-            )
+            cache[name] = multistart(program, k=run_config.solver.multistart_k)
         return cache[name]
 
     return solve

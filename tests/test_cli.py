@@ -373,6 +373,21 @@ class TestCommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_report_does_not_load_scipy_stats(self, tmp_path):
+        """The Halton starts and the normal quantile are numpy and the
+        standard library: only SLSQP loads scipy, and not ``scipy.stats``."""
+        from conftest import CONFIG_PATH
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys, rsmopt.cli; "
+                f"rc = rsmopt.cli.main(['report', '--config', {str(CONFIG_PATH)!r}, "
+                f"'--out', {str(tmp_path / 'report.md')!r}]); "
+                "print(rc, 'scipy.optimize' in sys.modules, 'scipy.stats' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 True False"
+
     def test_optimize_v_model(self, small_config, tmp_path):
         out = tmp_path / "row.json"
         rc = main(["optimize", "--config", str(small_config),
@@ -431,7 +446,7 @@ def small_config(tmp_path):
         "responses": ["Y1", "Y2"],
         "terms": ["1", "x1", "x2", "x3", "x1*x2", "x1*x3", "x2*x3"],
         "region": {"kind": "hypercube", "lower": [-1, -1, -1], "upper": [1, 1, 1]},
-        "solver": {"seed": 0, "multistart": 2},
+        "solver": {"multistart": 2},
         "methods": [
             {"name": "v-model"},
             {"name": "mean-weighting", "w": [0.285, 0.715]},
@@ -700,7 +715,7 @@ NUMERIC_CONFIG_KEYS = [
     ("region", "lower", "array"), ("region", "upper", "array"),
     ("ball", "radius", "number"), ("ball", "dim", 1),
     ("fixed point", "x", "array"),
-    ("solver", "seed", 0), ("solver", "multistart", 1),
+    ("solver", "multistart", 1),
     *[("method", key, "array") for key in ("tau", "w", "epsilon")],
     *[("method", key, "number") for key in ("confidence", "r1")],
     ("method", "primary", 1),
@@ -777,10 +792,26 @@ def test_solver_defaults_come_from_solver_settings(small_config):
     doc = json.loads(small_config.read_text())
     del doc["solver"]
     small_config.write_text(json.dumps(doc))
-    assert load_config(small_config).solver == cli.SolverSettings(seed=0, multistart_k=16)
-    doc["solver"] = {"seed": 3}
+    assert load_config(small_config).solver == cli.SolverSettings(multistart_k=16)
+    doc["solver"] = {}
     small_config.write_text(json.dumps(doc))
-    assert load_config(small_config).solver == cli.SolverSettings(seed=3, multistart_k=16)
+    assert load_config(small_config).solver == cli.SolverSettings(multistart_k=16)
+    doc["solver"] = {"multistart": 3}
+    small_config.write_text(json.dumps(doc))
+    assert load_config(small_config).solver == cli.SolverSettings(multistart_k=3)
+
+
+@pytest.mark.parametrize("seed", [0, 3, -1, True, "1", None, 2.5])
+def test_solver_seed_is_unknown_key(small_config, seed, capsys, no_solve):
+    """The starts are the plain Halton sequence, so a config has no seed to set."""
+    doc = json.loads(small_config.read_text())
+    doc["solver"]["seed"] = seed
+    small_config.write_text(json.dumps(doc))
+    assert main(["report", "--config", str(small_config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"data error: bad config {small_config}: unknown key 'seed' in solver"]
 
 
 @pytest.mark.parametrize("method, field", [
@@ -893,6 +924,22 @@ def test_repeated_observation_is_data_error(small_config, tmp_path, wide, path, 
     assert "run 8, response Y1, replicate 1 is repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("wide, path, header, cell, name", [
+    (False, LONG_CSV, "run_id,x1,x2,x3,response,replicate,value, value", ",7", "value"),
+    (True, WIDE_CSV, "ID,x1,x2,x3,Y1_1,Y1_1,Y1_3,Y1_4,Y2_1,Y2_2,Y2_3,Y2_4", "", "Y1_1"),
+], ids=["long", "wide"])
+def test_repeated_column_is_data_error(small_config, tmp_path, wide, path, header, cell,
+                                       name, capsys):
+    """csv.DictReader keeps the last of two equal names, so the first column
+    would be dropped without a word; names are compared once stripped."""
+    rows = [line + cell for line in path.read_text().splitlines()[1:] if line.strip()]
+    assert fit_on(small_config, tmp_path, "\n".join([header, *rows]) + "\n", wide) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"data error: {tmp_path / 'data.csv'}: column {name!r} is repeated"]
+
+
 def test_long_row_that_stops_before_its_response_is_data_error(small_config, tmp_path,
                                                                capsys):
     text = LONG_CSV.read_text()
@@ -967,10 +1014,11 @@ def test_fit_takes_its_data_only_from_the_config(small_config, tmp_path, option,
     assert main(argv) == 0
 
 
-def test_negative_seed_option_is_usage_error(small_config, capsys):
+def test_seed_option_is_usage_error(small_config, capsys, no_solve):
+    """The starts are the plain Halton sequence, so no command takes a seed."""
     for command in (["report"], ["optimize", "--method", "v-model"]):
-        assert main(command + ["--config", str(small_config), "--seed", "-1"]) == 1
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert main(command + ["--config", str(small_config), "--seed", "0"]) == 1
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("term", ["x1^0", "x1^-1", "x1^3", "x", "x1^a", "x4"])
@@ -1002,6 +1050,7 @@ class TestReport:
                    "--format", "json", "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
+        assert set(report) == {"rows", "failed"}
         rows = {row["method"]: row for row in report["rows"]}
         assert set(rows) == {"v-model", "mean-weighting", "baseline"}
         fixed = rows["baseline"]
@@ -1032,12 +1081,12 @@ class TestReport:
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
-    def test_determinism_same_seed(self, small_config, tmp_path):
+    def test_determinism(self, small_config, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             rc = main(["report", "--config", str(small_config),
-                       "--format", "json", "--seed", "7", "--out", str(out)])
+                       "--format", "json", "--out", str(out)])
             assert rc == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]

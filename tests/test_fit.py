@@ -126,8 +126,15 @@ class TestMatrixOps:
         assert matrix_criterion(C, "lambda_max") == 2.0
         assert matrix_criterion(C, "lambda_min") == 1.0
         assert matrix_criterion(C, "lambda_j", j=1) == 2.0
-        with pytest.raises(ValueError):
+        assert matrix_criterion(C, "lambda_j", j=np.int64(2)) == 1.0
+        with pytest.raises(ValueError, match=r"^lambda_j needs 1 <= j <= 2$"):
             matrix_criterion(C, "lambda_j", j=3)
+
+    @pytest.mark.parametrize("j", [True, 1.5, "1", None, 0, -1])
+    def test_lambda_j_needs_an_integer_j(self, j):
+        """j=True gave lambda_1 and j=1.5 an IndexError that did not name j."""
+        with pytest.raises(ValueError, match=f"j must be an integer >= 1, got {j!r}"):
+            matrix_criterion(np.diag([2.0, 1.0]), "lambda_j", j=j)
 
     def test_eigen_sym_diag(self):
         vals, _ = eigen_sym(np.diag([3.0, 1.0]))

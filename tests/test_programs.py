@@ -561,6 +561,16 @@ class TestNormalQuantile:
         with pytest.raises(ValueError):
             normal_quantile(bad)
 
+    def test_matches_scipy_ndtri(self):
+        """The standard library's inverse CDF against scipy's, the reference
+        imported only here."""
+        from scipy.special import ndtri
+
+        probs = np.append(np.linspace(1e-6, 1 - 1e-6, 10_001), [0.5, 0.95, 0.975])
+        got = np.array([normal_quantile(p) for p in probs])
+        assert np.max(np.abs(got - ndtri(probs))) <= 4e-15
+        assert normal_quantile(0.5) == ndtri(0.5) == 0.0
+
 
 def reference_mc(model, x, tau, n_samples, seed):
     """The estimator as one expression over all draws, as it was written
@@ -632,6 +642,26 @@ class TestJointProbability:
     def test_tau_must_be_finite(self, example_model, bad):
         with pytest.raises(ValueError, match="tau must be finite"):
             joint_probability_mc(example_model, np.zeros(3), [103.0, bad], 1000, seed=0)
+
+    @pytest.mark.parametrize("x, message", [
+        ([np.nan, 0.0, 0.0], "x must be finite"),
+        ([0.0, np.inf, 0.0], "x must be finite"),
+        ([0.0, 0.0], r"x must have shape \(3,\)"),
+        ([[0.0, 0.0, 0.0]], r"x must have shape \(3,\)"),
+        ([True, 0.0, 0.0], "x must hold numbers"),
+        (["0", 0.0, 0.0], "x must hold numbers"),
+    ])
+    def test_point_must_be_one_finite_coordinate_per_factor(self, example_model, x,
+                                                            message):
+        """A NaN point gave (0.0, 0.0): a zero with zero standard error."""
+        with pytest.raises(ValueError, match=message):
+            joint_probability_mc(example_model, x, TAU, 1000, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, False, -1, 1.5, 1.0, "1", None])
+    def test_seed_must_be_an_integer(self, example_model, seed):
+        """seed=True ran seed 1."""
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+            joint_probability_mc(example_model, np.zeros(3), TAU, 1000, seed=seed)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_synthetic_models_match_reference_bits(self, r):

@@ -668,8 +668,7 @@ class TestBall:
         def solve_on_ball(name):
             spec = next(m for m in run_config.methods if m.name == name)
             prog = build_program(example_model, spec, Region.hypersphere(1.2, dim=3))
-            return multistart(prog, k=run_config.solver.multistart_k,
-                              seed=run_config.solver.seed)
+            return multistart(prog, k=run_config.solver.multistart_k)
 
         return solve_on_ball
 
@@ -740,6 +739,34 @@ class TestMultistart:
         least = {"k": 1, "seed": 0}[key]
         with pytest.raises(ValueError, match=f"^{key} must be an integer >= {least}, got "):
             multistart(constant_program(), **{key: value})
+
+
+class TestStartPoints:
+    """``_start_points`` is the plain Halton sequence from index 1, with seed
+    s taking points s*k + 1 ... s*k + k."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_unscrambled_halton(self, n):
+        """Bit for bit scipy's unscrambled ``qmc.Halton``, scaled to the box;
+        scipy is the reference, imported only here."""
+        from scipy.stats import qmc
+
+        lo, hi = -1.0 - 0.5 * np.arange(n), 2.0 + np.arange(n)
+        prog = dataclasses.replace(constant_program(), region=Region.hypercube(lo, hi))
+        for k in (1, 7, 16, 64):
+            for seed in (0, 1, 2, 42):
+                want = qmc.Halton(n, scramble=False).random(seed * k + k + 1)[seed * k + 1:]
+                got = solve._start_points(prog, k, seed)
+                assert np.array_equal(got, qmc.scale(want, lo, hi))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_every_start_lies_in_the_ball(self, n):
+        prog = dataclasses.replace(constant_program(), region=Region.hypersphere(1.2, dim=n))
+        for seed in (0, 3):
+            pts = solve._start_points(prog, 64, seed)
+            assert pts.shape == (64, n)
+            # the radial clip may leave a point an ulp or two past the sphere
+            assert all(prog.region.contains(x, atol=1e-12) for x in pts)
 
 
 class TestStoppingRule:
