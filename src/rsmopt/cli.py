@@ -530,7 +530,7 @@ def cmd_optimize(args) -> int:
     _emit(json.dumps(row, indent=2) + "\n", args.out)
     if not result.converged:
         print(f"solver failed: max residual "
-              f"{np.max(result.constraint_residuals):.3g}", file=sys.stderr)
+              f"{np.max(result.constraint_residuals, initial=0.0):.3g}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -208,18 +208,26 @@ class Region:
             raise ValueError("dimension mismatch")
         if self.kind == "hypercube":
             return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
-        return bool(x @ x <= self.radius**2 + atol)
+        return bool(_squared_norm(x) <= self.radius**2 + atol)
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         """Project a point, or each row of a batch, into the region (used by
-        local searches)."""
+        local searches). On a ball a row outside is scaled by radius/||x||,
+        the factor stepped down an ulp while rounding leaves the row outside,
+        so every row returned passes ``contains``; a row inside is kept."""
         x = np.asarray(x, dtype=float)
         if self.kind == "hypercube":
             return np.clip(x, self.lower, self.upper)
-        # one dot product per row: rounds as np.linalg.norm of that row does
-        nrm = np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
-        outside = nrm > self.radius
-        return np.where(outside, x * (self.radius / np.where(outside, nrm, 1.0)), x)
+        r2, sq = self.radius**2, _squared_norm(x)[..., None]
+        scale = np.where(sq > r2, self.radius / np.sqrt(np.maximum(sq, r2)), 1.0)
+        while (out := _squared_norm(x * scale)[..., None] > r2).any():
+            scale = np.where(out, np.nextafter(scale, 0.0), scale)
+        return x * scale
+
+
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """||x||^2 of a point or of each row, the test of ``contains`` and ``clip``."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)

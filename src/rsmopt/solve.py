@@ -64,11 +64,8 @@ GRID_CHUNK = 2_048
 # the oracle undercuts the constrained minimum by trading violation for
 # objective.
 GRID_PENALTY_WEIGHT = 200.0
-FEASIBILITY_TOL = 1e-3
-# Relative f gap within which ``multistart`` ranks starts by feasibility: a
-# start stopped just off its constraints otherwise wins by what the violation
-# buys (kataoka-epsilon, radius-1.2 ball: f 1.1e-8 lower at residual 1e-8).
-# Its stopping rule counts two values of f this close as one minimum.
+# Relative f gap within which the stopping rule of ``multistart`` counts two
+# values of f as one minimum.
 F_TIE = 1e-8
 
 
@@ -329,7 +326,9 @@ def slsqp(program: ScalarProgram, x0) -> SolveResult:
     constraints gap(x) = d+ - d- and d+, d- >= 0, with d+ and d- started at
     the parts of gap(x0). All values and derivatives at a point come from
     one (n+1)-point batch (``_value_and_jacobian``). Without equality
-    constraints the result is never worse than the clipped start.
+    constraints the result is never worse than the clipped start. It has
+    converged when SLSQP ends with status 0, whose stopping test holds every
+    constraint to its ``ftol`` of 1e-10; any other status is not converged.
     """
     from scipy.optimize import minimize  # imported on first use: scipy loads slowly
 
@@ -384,9 +383,8 @@ def slsqp(program: ScalarProgram, x0) -> SolveResult:
     residuals = np.abs(at(x)[0][1:]) if program.goals is None else np.zeros(0)
     if not program.eq_constraints and f0 < f:
         x, f = x0, f0
-    converged = residuals.size == 0 or np.max(residuals) < FEASIBILITY_TOL
     return SolveResult(x_star=x, f_star=f, constraint_residuals=residuals,
-                       evaluations=evaluations, converged=bool(converged))
+                       evaluations=evaluations, converged=bool(res.status == 0))
 
 
 def penalty_solve(program: ScalarProgram, x0) -> SolveResult:
@@ -434,24 +432,20 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
     w (N - 1) / (N - w - 2) minima in all, and stops once N > w + 2 and that
     is below w + 0.5: after 8 solves with one value, after 17 with two. At
     k <= 6 every start runs. The best of the solves that ran wins, by
-    ``_better``.
+    ``_better``: converged first, then the lowest f, then the smallest x.
     """
     k, seed = as_integer(k, "k", 1), as_integer(seed, "seed", 0)
     coarse = grid_search(program, resolution=0.1)
 
-    def local(x0) -> SolveResult:
-        if program.eq_constraints:
-            return penalty_solve(program, x0)
-        return slsqp(program, x0)
-
-    best = local(coarse.x_star)
+    solver = penalty_solve if program.eq_constraints else slsqp
+    best = solver(program, coarse.x_star)
     evaluations = coarse.evaluations + best.evaluations
     values = [best.f_star]  # the distinct values of f the solves reached
     for n, x0 in enumerate(_start_points(program, k, seed), start=1):
         w = len(values)
         if n > w + 2 and w * (n - 1) / (n - w - 2) < w + 0.5:
             break
-        cand = local(x0)
+        cand = solver(program, x0)
         evaluations += cand.evaluations
         if not any(abs(cand.f_star - f) <= F_TIE * max(1.0, abs(f)) for f in values):
             values.append(cand.f_star)
@@ -461,15 +455,9 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
 
 
 def _better(a: SolveResult, b: SolveResult) -> bool:
-    """Feasible wins, then lower f. f values within F_TIE of each other
-    tie, and a tie goes to the smaller largest residual, then the lower f,
-    then the lexicographically smaller x."""
-    if a.converged != b.converged:
-        return a.converged
-    if abs(a.f_star - b.f_star) > F_TIE * max(1.0, abs(b.f_star)):
-        return a.f_star < b.f_star
-    ra, rb = (float(np.max(r.constraint_residuals, initial=0.0)) for r in (a, b))
-    return (ra, a.f_star, tuple(a.x_star)) < (rb, b.f_star, tuple(b.x_star))
+    """Converged wins, then the lower f, then the lexicographically smaller x."""
+    return ((not a.converged, a.f_star, tuple(a.x_star))
+            < (not b.converged, b.f_star, tuple(b.x_star)))
 
 
 def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:

@@ -28,6 +28,7 @@ from rsmopt.cli import (
 )
 from rsmopt.fit import covariance_at, predict, unit_variance
 from rsmopt.programs import METHODS, MethodConfig
+from rsmopt.solve import SolveResult
 
 
 def write_csv(tmp_path, name, text):
@@ -419,6 +420,23 @@ def test_optimize_with_unreachable_targets_exits_3(unreachable_config, tmp_path,
     row = json.loads(out.read_text())
     assert row["converged"] is False
     assert max(row["residuals"]) > 1e-3
+
+
+def test_optimize_unconverged_without_residuals_exits_3(small_config, tmp_path, capsys,
+                                                       monkeypatch):
+    """An unconstrained solve that SLSQP does not finish (status 9, say) has
+    no residuals to report; it is still one line and exit 3."""
+    def unconverged(program, k):
+        return SolveResult(x_star=np.zeros(3), f_star=1.0, constraint_residuals=np.zeros(0),
+                           evaluations=1, converged=False)
+
+    monkeypatch.setattr(cli, "multistart", unconverged)
+    out = tmp_path / "row.json"
+    rc = main(["optimize", "--config", str(small_config),
+               "--method", "v-model", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.strip().splitlines() == ["solver failed: max residual 0"]
+    assert json.loads(out.read_text())["converged"] is False
 
 
 def test_report_with_unreachable_targets_exits_3(unreachable_config, tmp_path):

@@ -260,6 +260,20 @@ class TestRegion:
         cube = Region.unit_cube(2)
         assert cube.clip(batch).tolist() == [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [1.0, 1.0]]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("radius", [1.0, 1.2, 8 ** 0.25, 2.0])
+    def test_clipped_batch_lies_in_the_ball(self, n, radius):
+        """A plain radial rescale rounds about a fifth of these points to
+        just past the sphere; every clipped point must pass ``contains``
+        at atol 0, and a point already inside comes back bit for bit."""
+        ball = Region.hypersphere(radius, dim=n)
+        batch = np.random.default_rng(n).uniform(-1.5 * radius, 1.5 * radius, (2_000, n))
+        got = ball.clip(batch)
+        inside = np.array([ball.contains(x) for x in batch])
+        assert 0 < inside.sum() < len(batch)
+        assert all(ball.contains(x) for x in got)
+        assert np.array_equal(got[inside], batch[inside])
+
 
 class TestDesignMatrix:
     def test_example_is_orthogonal(self, example_data):

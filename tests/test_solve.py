@@ -23,7 +23,6 @@ from rsmopt.programs import (
 )
 from rsmopt import solve
 from rsmopt.solve import (
-    FEASIBILITY_TOL,
     GRID_CHUNK,
     SolveResult,
     _better,
@@ -689,7 +688,50 @@ class TestBall:
     def test_unreachable_targets_are_not_converged(self, ball_solution):
         res = ball_solution("modified-e-epsilon")
         assert not res.converged
-        assert np.max(res.constraint_residuals) > FEASIBILITY_TOL
+        assert np.max(res.constraint_residuals) > 1e-3
+
+    @staticmethod
+    def ball_program(run_config, example_model, name):
+        spec = next(m for m in run_config.methods if m.name == name)
+        return build_program(example_model, spec, Region.hypersphere(1.2, dim=3))
+
+    def test_stalled_line_search_is_not_converged(self, run_config, example_model):
+        """From the first Halton start SLSQP's line search fails (status 8)
+        just off the pin, at an f the violation buys: tiny residuals, yet
+        not a solution."""
+        prog = self.ball_program(run_config, example_model, "p-model-epsilon")
+        res = slsqp(prog, solve._start_points(prog, 16, 0)[0])
+        assert not res.converged
+        assert 0 < np.max(res.constraint_residuals) < 1e-8
+        assert res.f_star < 5.7786619979 - 1e-9
+
+    @pytest.mark.parametrize("name", ["p-model-epsilon", "kataoka-epsilon"])
+    def test_converged_is_slsqp_exit_status_0(self, run_config, example_model,
+                                              monkeypatch, name):
+        import scipy.optimize
+
+        statuses, real = [], scipy.optimize.minimize
+
+        def minimize(*args, **kwargs):
+            res = real(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+        prog = self.ball_program(run_config, example_model, name)
+        for x0 in [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)]:
+            statuses.clear()
+            res = slsqp(prog, x0)
+            assert len(statuses) == 1 and res.converged == (statuses[0] == 0)
+
+    @pytest.mark.parametrize("name", ["p-model-epsilon", "kataoka-epsilon"])
+    def test_exact_without_the_f_tie_band(self, ball_solution, monkeypatch, name):
+        """The solver's verdict alone keeps a start stopped off its pins from
+        winning, without counting close values of f as equal."""
+        monkeypatch.setattr(solve, "F_TIE", 0.0)
+        res = ball_solution(name)
+        assert res.converged
+        assert np.max(res.constraint_residuals) <= 1e-9
 
 
 class TestMultistart:
@@ -712,18 +754,25 @@ class TestMultistart:
         res = multistart(prog, k=1, seed=0)
         assert res.f_star <= oracle.f_star + 1e-12
 
-    def test_close_f_values_tie_and_the_more_feasible_start_wins(self):
-        def result(f, residual, x=0.0):
+    def test_converged_wins_then_lower_f_then_smaller_x(self):
+        def result(f, residual, x=0.0, converged=True):
             return SolveResult(x_star=np.array([x]), f_star=f,
                                constraint_residuals=np.array([residual]),
-                               evaluations=1, converged=True)
+                               evaluations=1, converged=converged)
 
-        exact, bought = result(67.20254029066, 3e-14), result(67.20254027982, 1e-8)
+        # SLSQP stopped short of the pin (status 8), at an f the violation buys
+        exact, bought = result(67.20254029066, 3e-14), result(67.20254027982, 1e-8,
+                                                              converged=False)
         assert _better(exact, bought) and not _better(bought, exact)
-        lower = result(67.2024, 1e-8)
-        assert _better(lower, exact)
-        assert _better(result(1.0, 0.0, x=-1.0), result(1.0, 0.0, x=1.0))
-        assert not _better(dataclasses.replace(exact, converged=False), bought)
+        assert _better(exact, result(-1e9, 0.0, converged=False))
+        # a lower f wins by any margin, whatever the residuals
+        lower = result(np.nextafter(exact.f_star, 0.0), 1e-8)
+        assert _better(lower, exact) and not _better(exact, lower)
+        assert _better(bought, dataclasses.replace(exact, converged=False))
+        # equal f goes to the smaller x
+        assert _better(result(1.0, 1e-3, x=-1.0), result(1.0, 0.0, x=1.0))
+        assert not _better(result(1.0, 0.0, x=1.0), result(1.0, 1e-3, x=-1.0))
+        assert not _better(exact, exact)
 
     def test_result_in_region(self, example_model):
         prog = modified_e_epsilon(example_model, MethodConfig(tau=TAU))
@@ -765,8 +814,7 @@ class TestStartPoints:
         for seed in (0, 3):
             pts = solve._start_points(prog, 64, seed)
             assert pts.shape == (64, n)
-            # the radial clip may leave a point an ulp or two past the sphere
-            assert all(prog.region.contains(x, atol=1e-12) for x in pts)
+            assert all(prog.region.contains(x) for x in pts)
 
 
 class TestStoppingRule:
