@@ -46,7 +46,7 @@ from .solve import (
     grid_search,
     multistart,
     pareto_front,
-    slsqp,
+    sqp,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

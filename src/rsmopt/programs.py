@@ -105,12 +105,12 @@ class ScalarProgram:
     ``scorer``, which every built-in program sets. A program built by hand
     may give only ``objective`` and ``eq_constraints``, and ``score`` then
     calls those, including ones that ``dataclasses.replace`` swaps in.
-    ``multistart`` gives every program to SLSQP, which differentiates
-    ``score`` by forward differences; ``solve.nelder_mead`` is the tests'
-    reference, not a product path. ``goals``, set only by
+    ``multistart`` gives every program to ``solve.sqp``, which
+    differentiates ``score`` by central differences; ``solve.nelder_mead`` is
+    the tests' reference, not a product path. ``goals``, set only by
     ``goal_programming``, is ``(gap, w)``: the objective is ``|gap(x)| @ w``
     for a differentiable ``gap`` from a batch to its (batch, r) deviations
-    from the targets, which SLSQP solves in deviation-variable form.
+    from the targets, which ``sqp`` solves in deviation-variable form.
     ``rows``, set by ``_program`` for a program that reads ``moments``, is
     ``(score_rows, r)``: ``score_rows(lead, t)`` gives what ``score`` gives
     at the grid nodes (lead_i, t_j) in lexicographic order, for leading

@@ -8,14 +8,15 @@ inside the region through ``program.score``. The production path is
 ``multistart``: a coarse-grid incumbent and at most k deterministic
 quasi-random starts, each followed by one local solve, which stop once the
 Bayesian estimate of the number of minima says the solves have found them
-all (Boender & Rinnooy Kan 1987). That solve is ``slsqp`` for
-every program: SLSQP with the box bounds, the equality constraints given
-exactly, ||x||^2 <= radius^2 on a ball, and goal programming in its
-deviation-variable form; one (n+1)-point batch per point gives every value
-and forward-difference derivative. A constrained program reaches it through
-``penalty_solve``, a name kept for the benchmark's tests. ``nelder_mead``
-is no product path: it is the tests' derivative-free reference, and the
-benchmark binds it by name.
+all (Boender & Rinnooy Kan 1987). That solve is ``sqp`` for every program,
+a sequential quadratic program in numpy with the box bounds, the equality
+constraints given exactly, ||x||^2 <= radius^2 on a ball, and goal
+programming in its deviation-variable form; one (2n+1)-point batch per
+point gives every value and central-difference derivative. A constrained
+program reaches it through ``penalty_solve``, a name kept for the
+benchmark's tests. ``nelder_mead`` is no product path: it is the tests'
+derivative-free reference, the benchmark binds it by name, and it is the
+one user of scipy here, imported on first use.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "SolveResult",
     "ParetoSet",
     "grid_search",
-    "slsqp",
+    "sqp",
     "multistart",
     "pareto_front",
 ]
@@ -64,9 +65,16 @@ GRID_CHUNK = 2_048
 # the oracle undercuts the constrained minimum by trading violation for
 # objective.
 GRID_PENALTY_WEIGHT = 200.0
-# Relative f gap within which the stopping rule of ``multistart`` counts two
-# values of f as one minimum.
+# Relative f gap within which ``multistart`` counts two values of f as one
+# minimum, for its stopping rule and its choice among converged ends.
 F_TIE = 1e-8
+# ``sqp``'s iteration limit, and its tolerance on every equality residual
+# of a converged end and on the merit's change over its last step.
+MAX_ITER = 100
+TOL = 1e-10
+# The difference step at |x_i| <= 1, eps^(1/3), which balances the rounding
+# and truncation errors of central differences.
+FD_STEP = np.cbrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -302,36 +310,110 @@ def nelder_mead(program: ScalarProgram, x0) -> SolveResult:
     )
 
 
-def _value_and_jacobian(fn, x: np.ndarray, upper: np.ndarray):
-    """The k values of fn at x and their forward-difference (k, n) Jacobian,
-    from one call of fn on an (n+1, n) batch: x, then x plus a step of
-    sqrt(eps) * max(1, |x_i|) along each axis, taken backward where the
-    forward step would pass ``upper``. fn maps a batch of points to one
-    value per point, or to k values per point as a (batch, k) array."""
-    step = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-    step = np.where(x + step > upper, -step, step)
-    pts = np.vstack([x, x + np.diag(step)])
-    vals = np.asarray(fn(pts), dtype=float).reshape(x.size + 1, -1)
-    # divide by the step actually taken, which rounding may have changed
-    return vals[0], ((vals[1:] - vals[0]) / (pts[1:].diagonal() - x)[:, None]).T
+def _value_and_jacobian(fn, x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """The k values of fn at x and their (k, n) Jacobian, from one call of fn
+    on a (2n+1, n) batch: x, then two steps of h = eps^(1/3) * max(1, |x_i|)
+    along each axis, -h and +h (central differences) where both stay in
+    [lower, upper], else +h and +2h, or -h and -2h where +2h would pass
+    ``upper`` (the one-sided three-point rule). fn maps a batch of points to
+    one value per point, or to k values per point as a (batch, k) array."""
+    n = x.size
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
+    h1 = np.where(x + 2 * h <= upper, h, -h)
+    h2 = np.where((x - h >= lower) & (x + h <= upper), -h1, 2 * h1)
+    pts = np.repeat(x[None], 2 * n + 1, axis=0)
+    moved = pts[1:].reshape(2, n * n)[:, ::n + 1]  # the coordinates stepped
+    moved += (h1, h2)
+    vals = np.asarray(fn(pts), dtype=float).reshape(2 * n + 1, -1)
+    # the slope at x of the parabola through the three values, at the steps
+    # actually taken, which rounding may have changed
+    h1, h2 = (moved - x)[..., None]
+    d1, d2 = (vals[1:] - vals[0]).reshape(2, n, -1)
+    return vals[0], ((d1 * h2 * h2 - d2 * h1 * h1) / (h1 * h2 * (h2 - h1))).T
 
 
-def slsqp(program: ScalarProgram, x0) -> SolveResult:
-    """Local solve from x0 by SLSQP (Kraft 1988) with the constraints exact.
+def _qp(B, g, E, e, G, b, W):
+    """min g.d + d'Bd/2 subject to E d = e and G d >= b by the primal
+    active-set method (Nocedal & Wright 2006, Alg. 16.3) from d = 0, where
+    the rows W are active. A step solves the KKT system of E and the working
+    rows and stops at the first blocking row, which joins them; a full step
+    drops the row with the most negative multiplier. It gives up where more
+    rows than variables would be working. Returns d, the working rows and
+    the multipliers of E and of those rows."""
+    nv, m = g.size, len(E)
+    W = list(W[:nv - m])
+    d, grad, res, floor = np.zeros(nv), g, e, b - 1e-12
+    for _ in range(10 * (nv + b.size)):
+        J = np.concatenate([E, G[W]]) if W else E
+        K = np.zeros((nv + len(J), nv + len(J)))
+        K[:nv, :nv], K[:nv, nv:], K[nv:, :nv] = B, -J.T, J
+        rhs = np.concatenate([-grad, res, np.zeros(len(W))])
+        try:
+            step = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        p = step[:nv]  # B (d + p) + g = J' step[nv:]
+        if not (G @ (d + p) >= floor).all():  # a row blocks the full step
+            Gp = G @ p
+            block = Gp < -1e-12 * math.sqrt(p @ p)
+            block[W] = False
+            slack = np.maximum(np.where(block, G @ d - b, np.inf), 0.0)
+            ratios = slack / np.where(block, -Gp, 1.0)
+            i = int(np.argmin(ratios))
+            if ratios[i] < 1.0:
+                if len(J) >= nv:
+                    break
+                d = d + ratios[i] * p
+                grad, res = B @ d + g, e - E @ d
+                W.append(i)
+                continue
+        d = d + p
+        mu = step[nv + m:]
+        if not W or mu.min() >= -1e-10 * max(1.0, np.abs(grad).max()):
+            break
+        grad, res = B @ d + g, e - E @ d
+        W.pop(int(np.argmin(mu)))
+    # at the iteration limit, a row added after the last solve has no multiplier
+    return d, W[:len(step) - nv - m], step[nv:nv + m], step[nv + m:]
 
-    The variables are x in the region's bounding box, the equality
-    residuals of ``program.score`` are equality constraints, and a ball
-    adds ||x||^2 <= radius^2. A program with ``goals`` (gap, w) is solved
-    in deviation form: variables (x, d+, d-), objective w.(d+ + d-),
-    constraints gap(x) = d+ - d- and d+, d- >= 0, with d+ and d- started at
-    the parts of gap(x0). All values and derivatives at a point come from
-    one (n+1)-point batch (``_value_and_jacobian``). Without equality
-    constraints the result is never worse than the clipped start. It has
-    converged when SLSQP ends with status 0, whose stopping test holds every
-    constraint to its ``ftol`` of 1e-10; any other status is not converged.
+
+def _multipliers(J, g):
+    """The least-squares multipliers of the rows J for the gradient g."""
+    try:
+        return np.linalg.solve(J @ J.T, J @ g)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(J.T, g, rcond=None)[0]
+
+
+def sqp(program: ScalarProgram, x0) -> SolveResult:
+    """Local solve from x0 by sequential quadratic programming (Nocedal &
+    Wright 2006, ch. 18) with the constraints exact.
+
+    The variables are x in the region's bounding box, the equality residuals
+    of ``program.score`` are equality constraints, and a ball adds
+    ||x||^2 <= radius^2. A program with ``goals`` (gap, w) is solved in
+    deviation form: variables (x, d+, d-), objective w.(d+ + d-), constraints
+    gap(x) = d+ - d- and d+, d- >= 0, with d+ and d- started at the parts of
+    gap(x0). All values and derivatives at a point come from one
+    (2n+1)-point batch (``_value_and_jacobian``).
+
+    Each iteration solves a quadratic program over the bounds and the
+    linearized equalities and ball row (``_qp``), warm started from the last
+    working rows; where the linearized equalities are out of reach, the step
+    is the damped least-squares step toward them. Its Hessian is a
+    Powell-damped BFGS approximation of the Lagrangian's (Proc. 18.2). A
+    backtracking line search on the l1 merit f + sum_k penalty_k |c_k|, each
+    penalty at least its multiplier (Powell 1978) and large enough by (18.36),
+    takes the step, clipped into the region; in deviation form each penalty
+    is also at least w_k, so w.|gap(x)| never exceeds the merit. It stops
+    after MAX_ITER iterations, when the line search fails, or at a KKT point
+    after a step that moved the merit by at most TOL * max(1, |merit|).
+
+    It has converged when its last point is a KKT point: every equality
+    residual at most TOL and, with least-squares multipliers of the
+    equalities and the working bounds and ball row, the Lagrangian's gradient
+    and every wrong-signed multiplier at most sqrt(TOL) * max(1, |grad f|).
     """
-    from scipy.optimize import minimize  # imported on first use: scipy loads slowly
-
     region = program.region
     lo, hi = region.bounding_box()
     x0 = region.clip(np.asarray(x0, dtype=float))
@@ -340,55 +422,112 @@ def slsqp(program: ScalarProgram, x0) -> SolveResult:
         def batch(pts):
             f, residuals = program.score(pts)
             return np.column_stack([f, *residuals])
+        r = 0
     else:
         batch, w = program.goals
-    evaluations, last = 0, [None, None]  # the last x evaluated, its values and Jacobian
+        r = w.size
+    ball = region.radius if region.kind == "hypersphere" else None
+    eye = np.eye(n + 2 * r)
+    # G d >= b on a step d: the lower bounds, the upper bounds of x, then on
+    # a ball the row ||x||^2 <= radius^2, linearized and divided by 2 radius
+    G = np.concatenate([eye, -eye[:n], np.zeros((int(ball is not None), n + 2 * r))])
+    lower, evaluations = np.append(lo, np.zeros(2 * r)), 0
+    if r:  # the objective's gradient, and the deviations' block of the Jacobian
+        grad_goal, dev_jac = np.append(np.zeros(n), [w, w]), np.hstack([-eye[:r, :r], eye[:r, :r]])
 
     def at(v):
+        """(f, grad f, c, Jacobian of c) at v, from one batch."""
         nonlocal evaluations
-        x = np.clip(v[:n], lo, hi)  # SLSQP may pass a bound by an ulp or two
-        if last[0] is None or not np.array_equal(last[0], x):
-            last[:] = x, _value_and_jacobian(batch, x, hi)
-            evaluations += n + 1
-        return last[1]
+        evaluations += 2 * n + 1
+        values, jac = _value_and_jacobian(batch, v[:n], lo, hi)
+        if r == 0:
+            return values[0], jac[0], values[1:], jac[1:]
+        dev = v[n:n + r] - v[n + r:]
+        return (w @ (v[n:n + r] + v[n + r:]), grad_goal, values - dev,
+                np.concatenate([jac, dev_jac], axis=1))
 
-    def f_at(x):
-        values = at(x)[0]
-        return float(values[0] if program.goals is None else np.abs(values) @ w)
+    def first_order(g, c, A, W):
+        """Whether (g, c, A) meets the KKT conditions with the rows W active."""
+        J = np.concatenate([A, G[W]])
+        mult = _multipliers(J, g)
+        tol = math.sqrt(TOL) * max(1.0, np.abs(g).max())
+        return bool(np.abs(c).max(initial=0.0) <= TOL and np.abs(g - J.T @ mult).max() <= tol
+                    and mult[len(c):].min(initial=0.0) >= -tol)
 
-    f0, bounds = f_at(x0), list(zip(lo, hi))
-    # each jac returns a fresh array: SLSQP writes into the gradient it is given
-    if program.goals is None:
-        v0, constraints = x0, []
-        fun, jac = (lambda v: at(v)[0][0]), (lambda v: at(v)[1][0].copy())
-        if program.eq_constraints:
-            constraints.append({"type": "eq", "fun": lambda v: at(v)[0][1:],
-                                "jac": lambda v: at(v)[1][1:]})
-    else:
-        r, gap0, eye = w.size, at(x0)[0], np.eye(w.size)
-        v0 = np.concatenate([x0, np.maximum(gap0, 0.0), np.maximum(-gap0, 0.0)])
-        bounds += [(0.0, None)] * (2 * r)
-        fun = lambda v: w @ (v[n:n + r] + v[n + r:])
-        jac = lambda v: np.concatenate([np.zeros(n), w, w])
-        constraints = [{"type": "eq", "fun": lambda v: at(v)[0] - v[n:n + r] + v[n + r:],
-                        "jac": lambda v: np.hstack([at(v)[1], -eye, eye])}]
-    if region.kind == "hypersphere":
-        constraints.append({"type": "ineq", "fun": lambda v: region.radius**2 - v[:n] @ v[:n],
-                            "jac": lambda v: np.concatenate([-2.0 * v[:n], 0.0 * v[n:]])})
-    res = minimize(fun, v0, jac=jac, method="SLSQP", bounds=bounds,
-                   constraints=constraints, options={"ftol": 1e-10})
-    x = region.clip(np.clip(res.x[:n], lo, hi))
-    f = f_at(x)
-    # the residuals are the rest of the row f_at just scored; a goal row is gaps
-    residuals = np.abs(at(x)[0][1:]) if program.goals is None else np.zeros(0)
-    if not program.eq_constraints and f0 < f:
-        x, f = x0, f0
-    return SolveResult(x_star=x, f_star=f, constraint_residuals=residuals,
-                       evaluations=evaluations, converged=bool(res.status == 0))
+    v = np.concatenate([x0, np.zeros(2 * r)])
+    state = at(v)
+    if r:
+        v[n:] = np.maximum(np.concatenate([state[2], -state[2]]), 0.0)
+        state = at(v)
+    # the deviations enter linearly: their block of the Hessian starts near 0
+    B = B0 = np.diag(np.repeat([1.0, 1e-6], [n, 2 * r])) if r else eye
+    penalty, moved, W, phi_new = np.zeros(state[2].size), np.inf, [], state[0]
+    for iteration in range(MAX_ITER + 1):
+        f, g, c, A = state
+        b = np.concatenate([lower - v, v[:n] - hi])
+        if ball is not None:
+            G[-1, :n] = -v[:n] / ball
+            b = np.append(b, (v[:n] @ v[:n] - ball**2) / (2 * ball))
+        W = [i for i in W if b[i] >= -1e-12]  # the last working rows still active
+        if moved <= TOL * max(1.0, abs(phi_new)) or iteration == MAX_ITER:
+            converged = first_order(g, c, A, W)
+            if converged or iteration == MAX_ITER:
+                break
+        active = W
+        d, W, lam, mu = _qp(B, g, A, -c, G, b, active)
+        slope, phi = g @ d, f
+        if c.size:
+            size, lin = np.abs(c), np.abs(c + A @ d)
+            if lin.max() > 1e-8 * size.max() + 1e-3 * TOL:  # out of reach
+                damping = 1e-10 * max(1.0, np.square(A).sum())
+                d, W, _, _ = _qp(A.T @ A + damping * eye, A.T @ c, A[:0], c[:0], G, b, active)
+                lam, mu = np.split(_multipliers(np.concatenate([A, G[W]]), g), [c.size])
+                slope, lin = g @ d, np.abs(c + A @ d)
+            drop, weight = size - lin, np.abs(lam) if r == 0 else np.maximum(np.abs(lam), w)
+            penalty = np.maximum(weight, 0.5 * (penalty + weight))
+            if drop.sum() > 0:  # rho = 0.3 in (18.36)
+                penalty = np.maximum(penalty, (slope + 0.5 * d @ B @ d) / (0.7 * drop.sum()))
+            slope, phi = slope - penalty @ drop, phi + penalty @ size
+        alpha, accepted = 1.0, False
+        while slope < 0 and alpha > TOL and not accepted:
+            trial = np.maximum(v + alpha * d, lower)
+            trial[:n] = np.minimum(trial[:n], hi)
+            if ball is not None:
+                trial[:n] = region.clip(trial[:n])
+            new = at(trial)
+            phi_new = new[0] + penalty @ np.abs(new[2]) if c.size else new[0]
+            accepted = phi_new <= phi + 1e-4 * alpha * slope
+            if not accepted:  # back off to the parabola's minimum, in [0.1, 0.5] alpha
+                if (trial == v).all():
+                    break  # the clip undid the step
+                alpha *= min(0.5, max(0.1, -slope * alpha / (2 * (phi_new - phi - alpha * slope))))
+        if not accepted:
+            converged = first_order(g, c, A, W)
+            break
+        # the damped BFGS update from the change in the Lagrangian's gradient
+        s, y = trial - v, new[1] - g
+        if c.size:
+            y -= (new[3] - A).T @ lam
+        if ball is not None and len(G) - 1 in W:  # the ball row turns with x
+            y[:n] += mu[W.index(len(G) - 1)] * s[:n] / ball
+        sy = s @ y
+        if iteration == 0 and sy > 0:  # to the curvature along the first step
+            B = sy / (s @ B0 @ s) * B0
+        Bs = B @ s
+        sBs = s @ Bs
+        if sBs > 0:  # s is 0 where rounding leaves the merit's test unmoved
+            if sy < 0.2 * sBs:
+                y, sy = y + (0.2 * sBs - sy) / (sBs - sy) * (Bs - y), 0.2 * sBs
+            B = B + (y[:, None] * (y / sy) - Bs[:, None] * (Bs / sBs))
+        moved, v, state = phi - phi_new, trial, new
+    f = state[0] if r == 0 else np.abs(state[2] + v[n:n + r] - v[n + r:]) @ w
+    return SolveResult(x_star=v[:n], f_star=float(f),
+                       constraint_residuals=np.abs(state[2]) if r == 0 else np.zeros(0),
+                       evaluations=evaluations, converged=bool(converged))
 
 
 def penalty_solve(program: ScalarProgram, x0) -> SolveResult:
-    """``slsqp`` for a program with equality constraints; no penalty is left.
+    """``sqp`` for a program with equality constraints; no penalty is left.
 
     ``multistart`` calls this binding because ``bench/test_bench.py::
     test_instrumented_records_layers_and_restores_bindings`` counts its
@@ -396,7 +535,7 @@ def penalty_solve(program: ScalarProgram, x0) -> SolveResult:
     the benchmark change of ROADMAP item 1 renames it."""
     if not program.eq_constraints:
         raise ValueError("penalty_solve requires equality constraints")
-    return slsqp(program, x0)
+    return sqp(program, x0)
 
 
 def _start_points(program: ScalarProgram, k: int, seed: int) -> np.ndarray:
@@ -432,12 +571,14 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
     w (N - 1) / (N - w - 2) minima in all, and stops once N > w + 2 and that
     is below w + 0.5: after 8 solves with one value, after 17 with two. At
     k <= 6 every start runs. The best of the solves that ran wins, by
-    ``_better``: converged first, then the lowest f, then the smallest x.
+    ``_better``: converged first, then the lowest f, the first end found
+    winning ties within F_TIE; when none converged, the end nearest its
+    pins (the least largest residual).
     """
     k, seed = as_integer(k, "k", 1), as_integer(seed, "seed", 0)
     coarse = grid_search(program, resolution=0.1)
 
-    solver = penalty_solve if program.eq_constraints else slsqp
+    solver = penalty_solve if program.eq_constraints else sqp
     best = solver(program, coarse.x_star)
     evaluations = coarse.evaluations + best.evaluations
     values = [best.f_star]  # the distinct values of f the solves reached
@@ -455,9 +596,16 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
 
 
 def _better(a: SolveResult, b: SolveResult) -> bool:
-    """Converged wins, then the lower f, then the lexicographically smaller x."""
-    return ((not a.converged, a.f_star, tuple(a.x_star))
-            < (not b.converged, b.f_star, tuple(b.x_star)))
+    """Whether the end a replaces b, found before it: converged wins; between
+    converged ends an f lower by more than F_TIE * max(1, |f|), so the first
+    end found at a minimum stays; between unconverged ones the smaller
+    largest residual, then the lower f."""
+    if a.converged != b.converged:
+        return a.converged
+    if a.converged:
+        return a.f_star < b.f_star - F_TIE * max(1.0, abs(b.f_star))
+    miss = [float(np.max(r.constraint_residuals, initial=0.0)) for r in (a, b)]
+    return (miss[0], a.f_star) < (miss[1], b.f_star)
 
 
 def pareto_front(objectives, region: Region, resolution: float) -> ParetoSet:

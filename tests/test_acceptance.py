@@ -276,8 +276,8 @@ def test_11h_oracle_agreement(name, solutions, grid_oracle):
     assert abs(solutions(name).f_star - grid_oracle(name).f_star) <= 0.01
 
 
-# F of each configured method from the quadratic-penalty solver that SLSQP
-# replaced; its epsilon points missed their targets by up to 1.45e-5,
+# F of each configured method from the quadratic-penalty solver that the
+# exact-constraint local solve replaced; its epsilon points missed their targets by up to 1.45e-5,
 # which moved modified-e-epsilon's F by 6.8e-5 below the exact value.
 PENALTY_SOLVER_F = {
     "v-model": 1.0,

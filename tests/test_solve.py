@@ -37,7 +37,7 @@ from rsmopt.solve import (
     nelder_mead,
     pareto_front,
     penalty_solve,
-    slsqp,
+    sqp,
 )
 
 
@@ -352,7 +352,7 @@ class TestNelderMead:
         assert prog.region.contains(res.x_star, atol=1e-9)
 
 
-class TestSlsqp:
+class TestSqp:
     def test_objective_sees_only_points_in_the_box(self, example_model):
         seen = []
         base = v_model(example_model).objective
@@ -363,7 +363,7 @@ class TestSlsqp:
         )
         # the start is clipped onto the upper face in x2, where every
         # difference step in x2 has to go backward
-        res = slsqp(prog, np.array([0.9, 0.7, -0.9]))
+        res = sqp(prog, np.array([0.9, 0.7, -0.9]))
         rows = np.concatenate([np.atleast_2d(x) for x in seen])
         assert len(seen) > 2 and rows.shape[1] == 3
         assert all(prog.region.contains(x) for x in rows)
@@ -373,10 +373,22 @@ class TestSlsqp:
         prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=0.5))
         for x0 in ([0.9, -0.9, 0.9], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]):
             x0 = np.array(x0)
-            res = slsqp(prog, x0)
+            res = sqp(prog, x0)
             assert res.converged
             assert res.f_star <= float(prog.objective(x0))
             assert res.f_star == pytest.approx(float(prog.objective(res.x_star)), rel=1e-14)
+
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    def test_goal_programming_never_worse_than_start(self, run_config, example_model,
+                                                     region):
+        """In deviation form the reported w.|gap| is at most the merit, whose
+        start value is F at the clipped start."""
+        region = run_config.region if region == "cube" else Region.hypersphere(1.2, dim=3)
+        spec = next(m for m in run_config.methods if m.name == "goal-programming")
+        prog = build_program(example_model, spec, region)
+        for x0 in [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)]:
+            res = sqp(prog, x0)
+            assert res.f_star <= float(prog.objective(region.clip(x0))) + 1e-12
 
     def test_keeps_the_start_when_every_later_point_is_worse(self):
         # x0 sits on a kink, where the forward differences mislead
@@ -385,20 +397,20 @@ class TestSlsqp:
             region=Region.unit_cube(2),
             descriptor="kink at x0",
         )
-        res = slsqp(kinked, np.array([0.3, 0.0]))
+        res = sqp(kinked, np.array([0.3, 0.0]))
         assert res.f_star == 0.0
         assert res.x_star.tolist() == [0.3, 0.0]
 
     def test_v_model_origin(self, example_model):
         prog = v_model(example_model)
-        res = slsqp(prog, np.array([0.5, -0.5, 0.9]))
+        res = sqp(prog, np.array([0.5, -0.5, 0.9]))
         assert res.x_star == pytest.approx([0, 0, 0], abs=1e-5)
         assert res.f_star == pytest.approx(1.0, abs=1e-9)
 
     def test_paper_modified_e_weighting(self, example_model):
         prog = modified_e_weighting(example_model, MethodConfig(w=WEIGHTS, r1=0.5))
         warm = grid_search(prog, 0.1)
-        res = slsqp(prog, warm.x_star)
+        res = sqp(prog, warm.x_star)
         assert res.f_star == pytest.approx(39.5895, abs=1e-4)
         assert res.f_star <= nelder_mead(prog, warm.x_star).f_star + 1e-9
 
@@ -407,7 +419,7 @@ class TestSlsqp:
         # ball, so the optimum lies on the sphere
         prog = mean_weighting(example_model, MethodConfig(w=WEIGHTS),
                               region=Region.hypersphere(1.2, dim=3))
-        res = slsqp(prog, np.zeros(3))
+        res = sqp(prog, np.zeros(3))
         assert float(np.linalg.norm(res.x_star)) == pytest.approx(1.2, abs=1e-9)
         assert prog.region.contains(res.x_star, atol=1e-12)
         assert res.f_star <= grid_search(prog, 0.05).f_star
@@ -422,11 +434,11 @@ class TestSlsqp:
             batches.append(np.array(x))
             return prog.score(x)
 
-        res = slsqp(dataclasses.replace(prog, scorer=score), np.array([0.2, -0.3, 0.4]))
-        assert all(b.shape == (4, 3) for b in batches)
-        assert res.evaluations == 4 * len(batches)
-        # SLSQP asks for the objective, the constraints and both
-        # derivatives at each point; the memo answers all but the first
+        res = sqp(dataclasses.replace(prog, scorer=score), np.array([0.2, -0.3, 0.4]))
+        assert all(b.shape == (7, 3) for b in batches)
+        assert res.evaluations == 7 * len(batches)
+        # the objective, the constraints and both derivatives at a point
+        # come from its one batch, and no point is scored twice
         bases = [b[0].tolist() for b in batches]
         assert all(a != b for a, b in zip(bases, bases[1:]))
 
@@ -442,51 +454,75 @@ class TestBatchedGradient:
     def grad(self, x):
         return 2 * self.c * (x - self.a) + np.array([x[1], x[0], 0.0])
 
+    # the box is [min(x, -1), max(x, 1)]
     points = pytest.mark.parametrize("x", [
         [0.3, -0.2, 0.1],
-        [1.0, 1.0, 1.0],     # every forward step would leave the box
+        [1.0, 1.0, 1.0],     # every step +h would leave the box: -h and -2h
         [-1.0, 0.999999999, 1.0],
+        [-1.0, -1.0, -0.99999],  # -h would leave it in x0 and x1: +h and +2h
         [2.5, -3.0, 0.0],    # steps scale with |x_i|
     ])
+
+    @staticmethod
+    def box(x):
+        return np.minimum(x, -1.0), np.maximum(x, 1.0)
 
     @points
     def test_matches_closed_form(self, x):
         x = np.array(x)
-        upper = np.maximum(x, 1.0)
+        lower, upper = self.box(x)
         calls = []
 
         def fn(pts):
             calls.append(pts)
             return self.f(pts)
 
-        (f,), (g,) = _value_and_jacobian(fn, x, upper)
-        assert len(calls) == 1 and calls[0].shape == (4, 3)
-        assert np.all(calls[0] <= upper)
+        (f,), (g,) = _value_and_jacobian(fn, x, lower, upper)
+        assert len(calls) == 1 and calls[0].shape == (7, 3)
+        assert np.all(calls[0] <= upper) and np.all(calls[0] >= lower)
         assert f == pytest.approx(self.f(x), rel=1e-14)
-        assert g == pytest.approx(self.grad(x), abs=1e-6)
+        assert g == pytest.approx(self.grad(x), abs=1e-8)
 
     @points
     def test_residual_jacobian(self, x):
         # residuals x0 x2 - 1 and x1^2 next to f, as a (batch, 3) array
         x = np.array(x)
-        upper = np.maximum(x, 1.0)
 
         def fn(pts):
             return np.column_stack([self.f(pts), pts[:, 0] * pts[:, 2] - 1, pts[:, 1] ** 2])
 
-        values, jac = _value_and_jacobian(fn, x, upper)
+        values, jac = _value_and_jacobian(fn, x, *self.box(x))
         assert values == pytest.approx([self.f(x), x[0] * x[2] - 1, x[1] ** 2], rel=1e-14)
         assert jac.shape == (3, 3)
-        assert jac[0] == pytest.approx(self.grad(x), abs=1e-6)
-        assert jac[1] == pytest.approx([x[2], 0.0, x[0]], abs=1e-6)
-        assert jac[2] == pytest.approx([0.0, 2 * x[1], 0.0], abs=1e-6)
+        assert jac[0] == pytest.approx(self.grad(x), abs=1e-8)
+        assert jac[1] == pytest.approx([x[2], 0.0, x[0]], abs=1e-8)
+        assert jac[2] == pytest.approx([0.0, 2 * x[1], 0.0], abs=1e-8)
+
+    def test_central_inside_one_sided_at_a_bound(self):
+        """Steps -h and +h on an axis with room for both, +h and +2h at a
+        lower bound, -h and -2h at an upper one."""
+        x, lower, upper = np.array([0.0, -1.0, 1.0]), -np.ones(3), np.ones(3)
+        calls = []
+        _value_and_jacobian(lambda pts: calls.append(pts) or self.f(pts), x, lower, upper)
+        steps = (calls[0][1:] - x).reshape(2, 3, 3).diagonal(axis1=1, axis2=2)
+        assert np.all(np.sign(steps) == [[1, 1, -1], [-1, 1, -1]])
+        assert steps[1, 1:] == pytest.approx(2 * steps[0, 1:], rel=1e-9)
+
+    def test_cubic_to_second_order(self):
+        """Both rules are exact for quadratics; on a cubic their error is of
+        order h^2, under 1e-10 here, where a forward difference's is of order
+        its step, about 1e-8."""
+        x, lower, upper = np.array([0.5, -1.0, 1.0]), -np.ones(3), np.ones(3)
+        (_,), (g,) = _value_and_jacobian(lambda p: (p**3).sum(axis=-1), x, lower, upper)
+        assert g == pytest.approx(3 * x**2, abs=1e-9)
 
 
 def first_order_gap(prog, x, h=1e-6):
     """Norm of the part of grad f at x outside the span of the constraint
-    gradients and the active bound normals, over |grad f|, and whether
-    every bound multiplier has the sign a minimum needs; all derivatives
-    by central differences."""
+    gradients, the active bound normals and, on a ball's sphere, the normal
+    2x, over |grad f|, and whether every bound and ball multiplier has the
+    sign a minimum needs; all derivatives by central differences (one-sided
+    on a bound of the bounding box)."""
     lo, hi = prog.region.bounding_box()
     eye = np.eye(x.size)
 
@@ -499,13 +535,17 @@ def first_order_gap(prog, x, h=1e-6):
 
     g = grad(prog.objective)
     at_lo, at_hi = np.isclose(x, lo, atol=1e-9), np.isclose(x, hi, atol=1e-9)
-    basis = [grad(c) for c in prog.eq_constraints] + list(eye[at_lo | at_hi])
+    on_sphere = bool(prog.region.kind == "hypersphere"
+                     and abs(x @ x - prog.region.radius**2) <= 1e-9)
+    basis = ([grad(c) for c in prog.eq_constraints] + list(eye[at_lo | at_hi])
+             + ([2 * x] if on_sphere else []))
     coef, *_ = np.linalg.lstsq(np.array(basis).T, g, rcond=None)
     gap = np.linalg.norm(g - np.array(basis).T @ coef) / np.linalg.norm(g)
-    # grad f = sum lambda_j grad g_j + mu_i e_i: mu >= 0 on a lower bound,
-    # <= 0 on an upper one
+    # grad f = sum lambda_j grad g_j + mu_i e_i + nu 2x: mu >= 0 on a lower
+    # bound, <= 0 on an upper one, and nu <= 0 on the sphere
     mu = coef[len(prog.eq_constraints):]
-    signs = np.where(at_lo[at_lo | at_hi], mu >= -1e-6, mu <= 1e-6)
+    signs = np.where(np.append(at_lo[at_lo | at_hi], [False] * on_sphere),
+                     mu >= -1e-6, mu <= 1e-6)
     return gap, bool(np.all(signs))
 
 
@@ -543,11 +583,11 @@ class TestPolishDispatch:
             res = multistart(prog, k=2, seed=0)
             assert prog.region.contains(res.x_star, atol=1e-12)
 
-    def test_hand_built_program_runs_slsqp(self, example_model, monkeypatch):
+    def test_hand_built_program_runs_sqp(self, example_model, monkeypatch):
         self.refuse(monkeypatch, "nelder_mead")
         calls = []
-        real = solve.slsqp
-        monkeypatch.setattr(solve, "slsqp",
+        real = solve.sqp
+        monkeypatch.setattr(solve, "sqp",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         prog = ScalarProgram(objective=v_model(example_model).objective,
                              region=Region.unit_cube(3), descriptor="hand-built")
@@ -649,11 +689,11 @@ class TestPenaltySolve:
             prog, scorer=lambda x: batches.append(np.shape(x)) or prog.score(x))
         x0 = grid_search(prog, 0.1).x_star
         res = penalty_solve(recording, x0)
-        # SLSQP ends at its limit of 100 iterations, each scoring its point
-        # and a few line-search points, one (n + 1)-point batch apiece
+        # the solve ends within its limit of 100 iterations, each scoring
+        # its line-search points, one (2n + 1)-point batch apiece
         assert not res.converged
-        assert batches and all(shape == (4, 3) for shape in batches)
-        assert res.evaluations == 4 * len(batches) < 10_000
+        assert batches and all(shape == (7, 3) for shape in batches)
+        assert res.evaluations == 7 * len(batches) < 10_000
         r0 = np.max(solve._residuals_at(prog, x0))
         assert np.max(res.constraint_residuals) <= r0 + 1e-9 * r0
 
@@ -695,34 +735,50 @@ class TestBall:
         spec = next(m for m in run_config.methods if m.name == name)
         return build_program(example_model, spec, Region.hypersphere(1.2, dim=3))
 
-    def test_stalled_line_search_is_not_converged(self, run_config, example_model):
-        """From the first Halton start SLSQP's line search fails (status 8)
-        just off the pin, at an f the violation buys: tiny residuals, yet
-        not a solution."""
-        prog = self.ball_program(run_config, example_model, "p-model-epsilon")
-        res = slsqp(prog, solve._start_points(prog, 16, 0)[0])
-        assert not res.converged
-        assert 0 < np.max(res.constraint_residuals) < 1e-8
-        assert res.f_star < 5.7786619979 - 1e-9
+    @staticmethod
+    def every_start(prog):
+        """``sqp`` from the coarse-grid incumbent and from each of the 16
+        starts that ``rsmopt report`` may use."""
+        starts = [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)]
+        return [sqp(prog, x0) for x0 in starts]
 
-    @pytest.mark.parametrize("name", ["p-model-epsilon", "kataoka-epsilon"])
-    def test_converged_is_slsqp_exit_status_0(self, run_config, example_model,
-                                              monkeypatch, name):
-        import scipy.optimize
-
-        statuses, real = [], scipy.optimize.minimize
-
-        def minimize(*args, **kwargs):
-            res = real(*args, **kwargs)
-            statuses.append(res.status)
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+    @pytest.mark.parametrize("max_iter", [solve.MAX_ITER, 3])
+    @pytest.mark.parametrize("name", ["modified-e-epsilon", "p-model-epsilon",
+                                      "kataoka-epsilon"])
+    def test_an_end_off_its_pins_is_never_converged(self, run_config, example_model,
+                                                    monkeypatch, name, max_iter):
+        """At the default iteration limit, and at a limit of 3 that stops
+        every start short of its pins."""
+        monkeypatch.setattr(solve, "MAX_ITER", max_iter)
         prog = self.ball_program(run_config, example_model, name)
-        for x0 in [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)]:
-            statuses.clear()
-            res = slsqp(prog, x0)
-            assert len(statuses) == 1 and res.converged == (statuses[0] == 0)
+        off = [res for res in self.every_start(prog)
+               if np.max(res.constraint_residuals) > solve.TOL]
+        assert not any(res.converged for res in off)
+        short = name == "modified-e-epsilon" or max_iter == 3
+        assert len(off) == (17 if short else 0)
+
+    @pytest.mark.parametrize("name", ["modified-e-epsilon", "p-model-epsilon",
+                                      "kataoka-epsilon"])
+    def test_converged_is_a_first_order_point(self, run_config, example_model, name):
+        """On every start, ``converged`` holds exactly when the end meets the
+        first-order conditions by the test's own central differences and
+        every residual is at most 1e-10."""
+        prog = self.ball_program(run_config, example_model, name)
+        for res in self.every_start(prog):
+            gap, signs = first_order_gap(prog, res.x_star)
+            kkt = gap < 1e-5 and signs and np.max(res.constraint_residuals) <= 1e-10
+            assert res.converged == kkt, (res.x_star, gap, signs, res.constraint_residuals)
+
+    def test_unreachable_row_is_the_nearest_end(self, run_config, example_model,
+                                                 monkeypatch):
+        """When no start converges, the reported end has the least largest
+        residual of all the solves."""
+        ends, real = [], solve.sqp
+        monkeypatch.setattr(solve, "sqp", lambda *a: ends.append(real(*a)) or ends[-1])
+        res = multistart(self.ball_program(run_config, example_model, "modified-e-epsilon"))
+        assert len(ends) == 17 and not any(end.converged for end in ends)
+        assert np.max(res.constraint_residuals) == min(np.max(end.constraint_residuals)
+                                                       for end in ends)
 
     @pytest.mark.parametrize("name", ["p-model-epsilon", "kataoka-epsilon"])
     def test_exact_without_the_f_tie_band(self, ball_solution, monkeypatch, name):
@@ -754,25 +810,46 @@ class TestMultistart:
         res = multistart(prog, k=1, seed=0)
         assert res.f_star <= oracle.f_star + 1e-12
 
-    def test_converged_wins_then_lower_f_then_smaller_x(self):
+    def test_converged_wins_then_f_lower_beyond_f_tie(self):
         def result(f, residual, x=0.0, converged=True):
             return SolveResult(x_star=np.array([x]), f_star=f,
                                constraint_residuals=np.array([residual]),
                                evaluations=1, converged=converged)
 
-        # SLSQP stopped short of the pin (status 8), at an f the violation buys
+        # a solve stopped short of the pin, at an f the violation buys
         exact, bought = result(67.20254029066, 3e-14), result(67.20254027982, 1e-8,
                                                               converged=False)
         assert _better(exact, bought) and not _better(bought, exact)
         assert _better(exact, result(-1e9, 0.0, converged=False))
-        # a lower f wins by any margin, whatever the residuals
-        lower = result(np.nextafter(exact.f_star, 0.0), 1e-8)
-        assert _better(lower, exact) and not _better(exact, lower)
-        assert _better(bought, dataclasses.replace(exact, converged=False))
-        # equal f goes to the smaller x
-        assert _better(result(1.0, 1e-3, x=-1.0), result(1.0, 0.0, x=1.0))
-        assert not _better(result(1.0, 0.0, x=1.0), result(1.0, 1e-3, x=-1.0))
+        # a later converged end wins only by more than F_TIE * max(1, |f|),
+        # whatever the residuals and x; within it the earlier end stays
+        band = solve.F_TIE * exact.f_star
+        assert _better(result(exact.f_star - 2 * band, 1e-8, x=1.0), exact)
+        close = result(exact.f_star - band / 2, 0.0, x=-1.0)
+        assert not _better(close, exact) and not _better(exact, close)
+        # below |f| = 1 the band is F_TIE itself
+        assert not _better(result(-solve.F_TIE / 2, 0.0), result(0.0, 0.0))
+        assert _better(result(-2 * solve.F_TIE, 0.0), result(0.0, 0.0))
         assert not _better(exact, exact)
+        # among unconverged ends the smaller largest residual wins, then f
+        assert _better(dataclasses.replace(exact, converged=False), bought)
+        assert not _better(bought, dataclasses.replace(exact, converged=False))
+        assert _better(result(2.0, 1e-3, converged=False), result(1.0, 2e-3, converged=False))
+        assert _better(result(1.0, 1e-3, converged=False), result(2.0, 1e-3, converged=False))
+        assert not _better(result(1.0, 1e-3, x=-1.0, converged=False),
+                           result(1.0, 1e-3, x=1.0, converged=False))
+
+    def test_first_end_at_a_minimum_stays(self, run_config, example_model):
+        """Goal programming's minimum is a curve on which F is 0 up to
+        rounding; every solve ends on it, and the incumbent's end, found
+        first, is the one reported."""
+        spec = next(m for m in run_config.methods if m.name == "goal-programming")
+        prog = build_program(example_model, spec, run_config.region)
+        first = sqp(prog, grid_search(prog, 0.1).x_star)
+        res = multistart(prog, k=run_config.solver.multistart_k)
+        assert first.converged and abs(first.f_star) <= solve.F_TIE
+        assert res.x_star.tolist() == first.x_star.tolist()
+        assert res.f_star == first.f_star
 
     def test_result_in_region(self, example_model):
         prog = modified_e_epsilon(example_model, MethodConfig(tau=TAU))
@@ -823,11 +900,11 @@ class TestStoppingRule:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """multistart's result and its local solves, counted at ``slsqp``,
+        """multistart's result and its local solves, counted at ``sqp``,
         which ``penalty_solve`` reaches through the module global."""
         calls = []
-        real = solve.slsqp
-        monkeypatch.setattr(solve, "slsqp",
+        real = solve.sqp
+        monkeypatch.setattr(solve, "sqp",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
 
         def run(program, k=16, seed=0):
@@ -871,7 +948,7 @@ class TestStoppingRule:
                                       "ccd10 alpha-ball", "ccd6 cube", "ccd6 alpha-ball"])
     def test_never_worse_than_every_start(self, run_config, example_model, monkeypatch,
                                           case):
-        """The rule against the fixed k = 16: ``slsqp`` from the coarse-grid
+        """The rule against the fixed k = 16: ``sqp`` from the coarse-grid
         incumbent and from each of the 16 starts, ranked by ``_better``.
         ``multistart`` gets each of those solves back from a table rather
         than solving again, and must ask for no other start."""
@@ -885,11 +962,11 @@ class TestStoppingRule:
                       else Region.hypersphere(8 ** 0.25, dim=3))
             programs = list(method_programs(model, region).values())
         solved = {}
-        monkeypatch.setattr(solve, "slsqp",
+        monkeypatch.setattr(solve, "sqp",
                             lambda prog, x0: solved[np.asarray(x0).tobytes()])
         for prog in programs:
             starts = [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)]
-            every = [slsqp(prog, x0) for x0 in starts]
+            every = [sqp(prog, x0) for x0 in starts]
             solved.update({x0.tobytes(): res for x0, res in zip(starts, every)})
             want = every[0]
             for cand in every[1:]:
