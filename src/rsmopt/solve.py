@@ -74,7 +74,7 @@ MAX_ITER = 100
 TOL = 1e-10
 # The difference step at |x_i| <= 1, eps^(1/3), which balances the rounding
 # and truncation errors of central differences.
-FD_STEP = np.cbrt(np.finfo(float).eps)
+FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -312,24 +312,33 @@ def nelder_mead(program: ScalarProgram, x0) -> SolveResult:
 
 def _value_and_jacobian(fn, x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """The k values of fn at x and their (k, n) Jacobian, from one call of fn
-    on a (2n+1, n) batch: x, then two steps of h = eps^(1/3) * max(1, |x_i|)
-    along each axis, -h and +h (central differences) where both stay in
-    [lower, upper], else +h and +2h, or -h and -2h where +2h would pass
-    ``upper`` (the one-sided three-point rule). fn maps a batch of points to
-    one value per point, or to k values per point as a (batch, k) array."""
+    on a (2n+1, n) batch: x, then two steps along each axis of
+    h = min(eps^(1/3) * max(1, |x_i|), (upper_i - lower_i) / 4), -h and +h
+    (central differences) where both stay in [lower, upper], else +h and +2h,
+    or -h and -2h where +2h would pass ``upper`` (the one-sided three-point
+    rule); the cap on h keeps whichever pair the rule picks inside the box.
+    The slope on axis i is that of the parabola through the values at the
+    steps s1, s2 actually taken, which rounding may have changed:
+    w1 (f(x + s1) - f(x)) + w2 (f(x + s2) - f(x)) with w1 = s2^2 / den,
+    w2 = -s1^2 / den and den = s1 s2 (s2 - s1). The steps are set one axis at
+    a time on Python floats and the slopes taken as one (n, 2n) weight matrix
+    times the differences, which keeps f(x) out of the product and so does
+    not lose its digits where |f| is large. fn maps a batch of points to one
+    value per point, or to k values per point as a (batch, k) array."""
     n = x.size
-    h = FD_STEP * np.maximum(1.0, np.abs(x))
-    h1 = np.where(x + 2 * h <= upper, h, -h)
-    h2 = np.where((x - h >= lower) & (x + h <= upper), -h1, 2 * h1)
     pts = np.repeat(x[None], 2 * n + 1, axis=0)
-    moved = pts[1:].reshape(2, n * n)[:, ::n + 1]  # the coordinates stepped
-    moved += (h1, h2)
+    weights = np.zeros((n, 2 * n))
+    for i, (xi, lo, hi) in enumerate(zip(x.tolist(), lower.tolist(), upper.tolist())):
+        h = min(FD_STEP * max(1.0, abs(xi)), (hi - lo) / 4)
+        h1 = h if xi + 2 * h <= hi else -h
+        h2 = -h1 if xi - h >= lo and xi + h <= hi else 2 * h1
+        pts[1 + i, i] = p1 = xi + h1
+        pts[1 + n + i, i] = p2 = xi + h2
+        s1, s2 = p1 - xi, p2 - xi
+        den = s1 * s2 * (s2 - s1)
+        weights[i, i], weights[i, n + i] = s2 * s2 / den, -s1 * s1 / den
     vals = np.asarray(fn(pts), dtype=float).reshape(2 * n + 1, -1)
-    # the slope at x of the parabola through the three values, at the steps
-    # actually taken, which rounding may have changed
-    h1, h2 = (moved - x)[..., None]
-    d1, d2 = (vals[1:] - vals[0]).reshape(2, n, -1)
-    return vals[0], ((d1 * h2 * h2 - d2 * h1 * h1) / (h1 * h2 * (h2 - h1))).T
+    return vals[0], (weights @ (vals[1:] - vals[0])).T
 
 
 def _qp(B, g, E, e, G, b, W):

@@ -516,6 +516,123 @@ class TestBatchedGradient:
         (_,), (g,) = _value_and_jacobian(lambda p: (p**3).sum(axis=-1), x, lower, upper)
         assert g == pytest.approx(3 * x**2, abs=1e-9)
 
+    step = np.cbrt(np.finfo(float).eps)
+
+    @classmethod
+    def rule_batch(cls, x, lower, upper):
+        """The documented batch, built axis by axis in numpy: x, then x + h1
+        and x + h2 on each axis, with h = min(eps^(1/3) max(1, |x_i|),
+        (upper_i - lower_i) / 4), central where -h and +h fit, else +h and
+        +2h, or -h and -2h where +2h would pass the upper bound."""
+        n, axes = x.size, np.arange(x.size)
+        h = np.minimum(cls.step * np.maximum(1.0, np.abs(x)), (upper - lower) / 4)
+        h1 = np.where(x + 2 * h <= upper, h, -h)
+        h2 = np.where((x - h >= lower) & (x + h <= upper), -h1, 2 * h1)
+        pts = np.tile(x, (2 * n + 1, 1))
+        pts[1 + axes, axes] = x + h1
+        pts[1 + n + axes, axes] = x + h2
+        return pts
+
+    @classmethod
+    def case(cls, n, where):
+        """A point and its box in n factors: inside [-1, 1], 1.5 steps from
+        its upper and lower bounds by turns (central, starting with -h next
+        to an upper bound), on every lower or upper bound, or with |x_i| > 1
+        inside [-6, 6] or on the bounds [min(x, -1), max(x, 1)]."""
+        rng = np.random.default_rng(n)
+        lower, upper = -np.ones(n), np.ones(n)
+        if where == "inside":
+            return rng.uniform(-0.9, 0.9, n), lower, upper
+        if where == "near":
+            return np.resize([1.0, -1.0], n) * (1 - 1.5 * cls.step), lower, upper
+        if where in ("lower", "upper"):
+            return (lower if where == "lower" else upper).copy(), lower, upper
+        x = rng.choice([-1.0, 1.0], n) * rng.uniform(1.5, 5.0, n)
+        if where == "large":
+            return x, -6 * np.ones(n), 6 * np.ones(n)
+        return x, np.minimum(x, -1.0), np.maximum(x, 1.0)
+
+    cases = pytest.mark.parametrize("n", [1, 3, 8])
+    wheres = pytest.mark.parametrize("where", ["inside", "near", "lower", "upper", "large", "large-on-bound"])
+
+    @staticmethod
+    def values(pts):
+        """Two smooth values per point, one offset by 1e4."""
+        return np.column_stack([1e4 + (pts**2).sum(axis=-1), np.sin(pts).sum(axis=-1)])
+
+    @cases
+    @wheres
+    def test_points_are_the_documented_rule(self, n, where):
+        x, lower, upper = self.case(n, where)
+        calls = []
+        _value_and_jacobian(lambda pts: calls.append(pts.copy()) or self.values(pts),
+                            x, lower, upper)
+        assert np.array_equal(calls[0], self.rule_batch(x, lower, upper))
+
+    @cases
+    @wheres
+    def test_jacobian_is_the_parabola_slope(self, n, where):
+        """Against the slope of the parabola through f(x), f(x + s1) and
+        f(x + s2), at the steps s1, s2 actually taken, computed axis-wise by
+        broadcasting as a reference: the same to rounding, at most 1e-12 of
+        the largest difference over the smallest step."""
+        x, lower, upper = self.case(n, where)
+        pts = self.rule_batch(x, lower, upper)
+        vals = self.values(pts)
+        h1, h2 = (pts[1:].reshape(2, n * n)[:, ::n + 1] - x)[..., None]
+        d1, d2 = (vals[1:] - vals[0]).reshape(2, n, -1)
+        reference = ((d1 * h2 * h2 - d2 * h1 * h1) / (h1 * h2 * (h2 - h1))).T
+        value, jac = _value_and_jacobian(self.values, x, lower, upper)
+        assert np.array_equal(value, vals[0])
+        scale = np.abs(vals[1:] - vals[0]).max() / np.abs(np.concatenate([h1, h2])).min()
+        assert np.abs(jac - reference).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_closed_form_in_one_and_eight_factors(self, n):
+        """f(x) = sum_i c_i (x_i - a_i)^2 + x_0 x_{n-1}, inside the box and
+        on its bounds."""
+        c, a = np.linspace(0.5, 3.0, n), np.linspace(-0.4, 0.7, n)
+
+        def f(pts):
+            return ((pts - a) ** 2) @ c + pts[..., 0] * pts[..., -1]
+
+        for x in (np.linspace(-0.8, 0.9, n), -np.ones(n), np.ones(n)):
+            grad = 2 * c * (x - a)
+            grad[0] += x[-1]
+            grad[-1] += x[0]
+            (value,), (g,) = _value_and_jacobian(f, x, -np.ones(n), np.ones(n))
+            assert value == pytest.approx(f(x), rel=1e-14)
+            assert g == pytest.approx(grad, abs=1e-8)
+
+    def test_narrow_axis_stays_inside(self):
+        """On [-1, 1] x [0, 1e-6] x [-1, 1] at x = 0 the step eps^(1/3) on the
+        middle axis is wider than the box; capped at a quarter of the width,
+        both of its steps stay inside."""
+        region = Region.hypercube([-1, 0, -1], [1, 1e-6, 1])
+        lower, upper = region.bounding_box()
+        calls = []
+        (_,), (g,) = _value_and_jacobian(
+            lambda pts: calls.append(pts) or self.f(pts), np.zeros(3), lower, upper)
+        assert np.all(calls[0] >= lower) and np.all(calls[0] <= upper)
+        assert g == pytest.approx(self.grad(np.zeros(3)), abs=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_boxes_keep_every_point_inside(self, n):
+        """Boxes of widths from 1e-6 to 3, the point inside, on a bound or in
+        the middle: every point of the batch lies in the box, and a
+        quadratic's gradient is within 1e-6."""
+        rng = np.random.default_rng(100 + n)
+        c, a = rng.uniform(0.5, 3.0, n), rng.uniform(-1, 1, n)
+        for _ in range(40):
+            lower = rng.uniform(-2, 2, n)
+            upper = lower + 10 ** rng.uniform(-6, 0.5, n)
+            x = lower + (upper - lower) * rng.choice([0.0, 0.5, 1.0, rng.random()], n)
+            calls = []
+            (_,), (g,) = _value_and_jacobian(
+                lambda pts: calls.append(pts) or ((pts - a) ** 2) @ c, x, lower, upper)
+            assert np.all(calls[0] >= lower) and np.all(calls[0] <= upper)
+            assert g == pytest.approx(2 * c * (x - a), abs=1e-6)
+
 
 def first_order_gap(prog, x, h=1e-6):
     """Norm of the part of grad f at x outside the span of the constraint
