@@ -5,16 +5,17 @@ walks the grid in blocks of whole rows of the last axis (``_region_rows``):
 a program that reads ``moments`` scores a block through its row scorer
 (``fit.row_moments``), and any other program scores the block's nodes
 inside the region through ``program.score``. The production path is
-``multistart``: a coarse-grid incumbent and at most k deterministic
-quasi-random starts, each followed by one local solve, which stop once the
-Bayesian estimate of the number of minima says the solves have found them
-all (Boender & Rinnooy Kan 1987). That solve is ``sqp`` for every program,
-a sequential quadratic program in numpy with the box bounds, the equality
+``multistart``: a local solve from a coarse-grid incumbent, then waves of
+at most k deterministic quasi-random starts, which stop once the Bayesian
+estimate of the number of minima says the solves have found them all
+(Boender & Rinnooy Kan 1987). That solve is ``sqp`` for every program, a
+sequential quadratic program in numpy with the box bounds, the equality
 constraints given exactly, ||x||^2 <= radius^2 on a ball, and goal
 programming in its deviation-variable form; one (2n+1)-point batch per
-point gives every value and central-difference derivative. A constrained
-program reaches it through ``penalty_solve``, a name kept for the
-benchmark's tests. ``nelder_mead`` is no product path: it is the tests'
+point gives every value and central-difference derivative, and a wave's
+starts run in lockstep, one ``score`` call a round for all their batches.
+A constrained program reaches it through ``penalty_solve``, a name kept for
+the benchmark's tests. ``nelder_mead`` is no product path: it is the tests'
 derivative-free reference, the benchmark binds it by name, and it is the
 one user of scipy here, imported on first use.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -84,6 +86,8 @@ class SolveResult:
     constraint_residuals: np.ndarray
     evaluations: int
     converged: bool
+    # every start's own end, in start order, on ``sqp``'s answer for a block
+    ends: tuple[SolveResult, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -312,7 +316,9 @@ def nelder_mead(program: ScalarProgram, x0) -> SolveResult:
 
 def _value_and_jacobian(fn, x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """The k values of fn at x and their (k, n) Jacobian, from one call of fn
-    on a (2n+1, n) batch: x, then two steps along each axis of
+    on a (2n+1, n) batch, or for a block x (s, n) the (s, k) values and
+    (s, k, n) Jacobians from one call on the s batches stacked. A point's
+    batch is x, then two steps along each axis of
     h = min(eps^(1/3) * max(1, |x_i|), (upper_i - lower_i) / 4), -h and +h
     (central differences) where both stay in [lower, upper], else +h and +2h,
     or -h and -2h where +2h would pass ``upper`` (the one-sided three-point
@@ -320,25 +326,26 @@ def _value_and_jacobian(fn, x: np.ndarray, lower: np.ndarray, upper: np.ndarray)
     The slope on axis i is that of the parabola through the values at the
     steps s1, s2 actually taken, which rounding may have changed:
     w1 (f(x + s1) - f(x)) + w2 (f(x + s2) - f(x)) with w1 = s2^2 / den,
-    w2 = -s1^2 / den and den = s1 s2 (s2 - s1). The steps are set one axis at
-    a time on Python floats and the slopes taken as one (n, 2n) weight matrix
-    times the differences, which keeps f(x) out of the product and so does
-    not lose its digits where |f| is large. fn maps a batch of points to one
-    value per point, or to k values per point as a (batch, k) array."""
-    n = x.size
-    pts = np.repeat(x[None], 2 * n + 1, axis=0)
-    weights = np.zeros((n, 2 * n))
-    for i, (xi, lo, hi) in enumerate(zip(x.tolist(), lower.tolist(), upper.tolist())):
-        h = min(FD_STEP * max(1.0, abs(xi)), (hi - lo) / 4)
-        h1 = h if xi + 2 * h <= hi else -h
-        h2 = -h1 if xi - h >= lo and xi + h <= hi else 2 * h1
-        pts[1 + i, i] = p1 = xi + h1
-        pts[1 + n + i, i] = p2 = xi + h2
-        s1, s2 = p1 - xi, p2 - xi
-        den = s1 * s2 * (s2 - s1)
-        weights[i, i], weights[i, n + i] = s2 * s2 / den, -s1 * s1 / den
-    vals = np.asarray(fn(pts), dtype=float).reshape(2 * n + 1, -1)
-    return vals[0], (weights @ (vals[1:] - vals[0])).T
+    w2 = -s1^2 / den and den = s1 s2 (s2 - s1). The steps are set elementwise,
+    so a point's batch is the same in any block, and a point's slopes are its
+    (n, 2n) weight matrix times the differences, which keeps f(x) out of the
+    product and so does not lose its digits where |f| is large. fn maps a
+    batch to one value per point, or to k values per point as (batch, k)."""
+    block = np.atleast_2d(x)
+    s, n = block.shape
+    h = np.minimum(FD_STEP * np.maximum(1.0, np.abs(block)), (upper - lower) / 4)
+    h1 = np.where(block + 2 * h <= upper, h, -h)
+    h2 = np.where((block - h >= lower) & (block + h <= upper), -h1, 2 * h1)
+    pts, axes = np.repeat(block[:, None], 2 * n + 1, axis=1), np.arange(n)
+    pts[:, 1 + axes, axes] = p1 = block + h1
+    pts[:, 1 + n + axes, axes] = p2 = block + h2
+    s1, s2 = p1 - block, p2 - block
+    den = s1 * s2 * (s2 - s1)
+    weights = np.zeros((s, n, 2 * n))
+    weights[:, axes, axes], weights[:, axes, n + axes] = s2 * s2 / den, -s1 * s1 / den
+    vals = np.asarray(fn(pts.reshape(-1, n)), dtype=float).reshape(s, 2 * n + 1, -1)
+    jac = (weights @ (vals[:, 1:] - vals[:, :1])).transpose(0, 2, 1)
+    return (vals[:, 0], jac) if x.ndim == 2 else (vals[0, 0], jac[0])
 
 
 def _qp(B, g, E, e, G, b, W):
@@ -395,8 +402,9 @@ def _multipliers(J, g):
 
 
 def sqp(program: ScalarProgram, x0) -> SolveResult:
-    """Local solve from x0 by sequential quadratic programming (Nocedal &
-    Wright 2006, ch. 18) with the constraints exact.
+    """Local solve by sequential quadratic programming (Nocedal & Wright 2006,
+    ch. 18) with the constraints exact, from one start x0 (n,) or from each
+    start of a block (s, n).
 
     The variables are x in the region's bounding box, the equality residuals
     of ``program.score`` are equality constraints, and a ball adds
@@ -422,20 +430,51 @@ def sqp(program: ScalarProgram, x0) -> SolveResult:
     residual at most TOL and, with least-squares multipliers of the
     equalities and the working bounds and ball row, the Lagrangian's gradient
     and every wrong-signed multiplier at most sqrt(TOL) * max(1, |grad f|).
+
+    A block's starts run in lockstep, each as a generator (``_sqp``): a round
+    scores every live start's batch in one ``program.score`` (or goals' gap)
+    call. It gives the end ``_better`` picks in start order, the evaluations
+    of all, and every end in ``ends``. A start that is not finite, or a NaN
+    in a round's values, is a ValueError naming the program and the point.
     """
-    region = program.region
-    lo, hi = region.bounding_box()
-    x0 = region.clip(np.asarray(x0, dtype=float))
-    n = x0.size
-    if program.goals is None:
-        def batch(pts):
+    region, (lo, hi) = program.region, program.region.bounding_box()
+    starts = np.atleast_2d(np.asarray(x0, dtype=float))
+    if not np.isfinite(starts).all():
+        raise ValueError(f"{program.descriptor}: start "
+                         f"{starts[~np.isfinite(starts).all(axis=1)][0].tolist()} is not finite")
+
+    def batch(pts):  # f and every residual, or the goals' gaps, at each point
+        if program.goals is None:
             f, residuals = program.score(pts)
-            return np.column_stack([f, *residuals])
-        r = 0
-    else:
-        batch, w = program.goals
-        r = w.size
-    ball = region.radius if region.kind == "hypersphere" else None
+            vals = np.column_stack([f, *residuals])
+        else:
+            vals = program.goals[0](pts)
+        if np.isnan(vals).any():
+            raise ValueError(f"{program.descriptor}: score is NaN at point "
+                             f"{pts[np.isnan(vals).any(axis=-1)][0].tolist()}")
+        return vals
+
+    runs = [_sqp(program, region.clip(x), lo, hi) for x in starts]
+    asks, ends = {i: next(run) for i, run in enumerate(runs)}, [None] * len(runs)
+    while asks:  # one round: every live start's batch in one call of score
+        values, jac = _value_and_jacobian(batch, np.array(list(asks.values())), lo, hi)
+        for j, i in enumerate(list(asks)):
+            try:
+                asks[i] = runs[i].send((values[j], jac[j]))
+            except StopIteration as stop:
+                ends[i] = stop.value
+                del asks[i]
+    if np.ndim(x0) == 1:
+        return ends[0]
+    return replace(_best(ends), evaluations=sum(e.evaluations for e in ends), ends=tuple(ends))
+
+
+def _sqp(program: ScalarProgram, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """``sqp`` from one start x0, as a generator: it yields each point it needs
+    scored, is sent its values and Jacobian, and returns its ``SolveResult``."""
+    region, n = program.region, x0.size
+    w = np.zeros(0) if program.goals is None else program.goals[1]
+    r, ball = w.size, region.radius if region.kind == "hypersphere" else None
     eye = np.eye(n + 2 * r)
     # G d >= b on a step d: the lower bounds, the upper bounds of x, then on
     # a ball the row ||x||^2 <= radius^2, linearized and divided by 2 radius
@@ -444,11 +483,10 @@ def sqp(program: ScalarProgram, x0) -> SolveResult:
     if r:  # the objective's gradient, and the deviations' block of the Jacobian
         grad_goal, dev_jac = np.append(np.zeros(n), [w, w]), np.hstack([-eye[:r, :r], eye[:r, :r]])
 
-    def at(v):
-        """(f, grad f, c, Jacobian of c) at v, from one batch."""
+    def at(v, values, jac):
+        """(f, grad f, c, Jacobian of c) at v, from its batch's values and Jacobian."""
         nonlocal evaluations
         evaluations += 2 * n + 1
-        values, jac = _value_and_jacobian(batch, v[:n], lo, hi)
         if r == 0:
             return values[0], jac[0], values[1:], jac[1:]
         dev = v[n:n + r] - v[n + r:]
@@ -464,10 +502,10 @@ def sqp(program: ScalarProgram, x0) -> SolveResult:
                     and mult[len(c):].min(initial=0.0) >= -tol)
 
     v = np.concatenate([x0, np.zeros(2 * r)])
-    state = at(v)
+    state = at(v, *(yield x0))
     if r:
         v[n:] = np.maximum(np.concatenate([state[2], -state[2]]), 0.0)
-        state = at(v)
+        state = at(v, *(yield x0))
     # the deviations enter linearly: their block of the Hessian starts near 0
     B = B0 = np.diag(np.repeat([1.0, 1e-6], [n, 2 * r])) if r else eye
     penalty, moved, W, phi_new = np.zeros(state[2].size), np.inf, [], state[0]
@@ -503,7 +541,7 @@ def sqp(program: ScalarProgram, x0) -> SolveResult:
             trial[:n] = np.minimum(trial[:n], hi)
             if ball is not None:
                 trial[:n] = region.clip(trial[:n])
-            new = at(trial)
+            new = at(trial, *(yield trial[:n]))
             phi_new = new[0] + penalty @ np.abs(new[2]) if c.size else new[0]
             accepted = phi_new <= phi + 1e-4 * alpha * slope
             if not accepted:  # back off to the parabola's minimum, in [0.1, 0.5] alpha
@@ -536,12 +574,9 @@ def sqp(program: ScalarProgram, x0) -> SolveResult:
 
 
 def penalty_solve(program: ScalarProgram, x0) -> SolveResult:
-    """``sqp`` for a program with equality constraints; no penalty is left.
-
-    ``multistart`` calls this binding because ``bench/test_bench.py::
-    test_instrumented_records_layers_and_restores_bindings`` counts its
-    ``solve.penalty_solve`` spans; the name is kept for that test until
-    the benchmark change of ROADMAP item 1 renames it."""
+    """``sqp``, start or block, for a program with equality constraints; no
+    penalty is left. ``multistart`` calls this binding because the benchmark's
+    tests count its spans, until the change of ROADMAP item 1 renames it."""
     if not program.eq_constraints:
         raise ValueError("penalty_solve requires equality constraints")
     return sqp(program, x0)
@@ -577,31 +612,36 @@ def multistart(program: ScalarProgram, k: int = 16, seed: int = 0) -> SolveResul
     incumbent's, have reached w distinct values of f, a value being new
     unless it is within F_TIE * max(1, |f|) of a value f already reached,
     converged or not. Before each further start the rule estimates
-    w (N - 1) / (N - w - 2) minima in all, and stops once N > w + 2 and that
-    is below w + 0.5: after 8 solves with one value, after 17 with two. At
-    k <= 6 every start runs. The best of the solves that ran wins, by
-    ``_better``: converged first, then the lowest f, the first end found
-    winning ties within F_TIE; when none converged, the end nearest its
-    pins (the least largest residual).
+    w (N - 1) / (N - w - 2) minima in all, and stops once that is below
+    w + 0.5, that is once N >= 2w^2 + 3w + 3: after 8 solves with one value,
+    after 17 with two. At k <= 6 every start runs. As w never falls, the
+    starts run in waves after the incumbent's solve, each one lockstep
+    ``sqp`` (or ``penalty_solve``) call on the block of starts up to start
+    min(2w^2 + 3w + 2, k) at the current w; w is then recounted in start
+    order, and another wave follows only if it grew. The best end wins by
+    ``_better``, in start order: converged first, then the lowest f, the
+    first end found winning ties within F_TIE; when none converged, the end
+    nearest its pins (the least largest residual).
     """
     k, seed = as_integer(k, "k", 1), as_integer(seed, "seed", 0)
     coarse = grid_search(program, resolution=0.1)
-
     solver = penalty_solve if program.eq_constraints else sqp
     best = solver(program, coarse.x_star)
     evaluations = coarse.evaluations + best.evaluations
     values = [best.f_star]  # the distinct values of f the solves reached
-    for n, x0 in enumerate(_start_points(program, k, seed), start=1):
-        w = len(values)
-        if n > w + 2 and w * (n - 1) / (n - w - 2) < w + 0.5:
-            break
-        cand = solver(program, x0)
-        evaluations += cand.evaluations
-        if not any(abs(cand.f_star - f) <= F_TIE * max(1.0, abs(f)) for f in values):
-            values.append(cand.f_star)
-        if _better(cand, best):
-            best = cand
+    starts, done = _start_points(program, k, seed), 0
+    while (stop := min(2 * len(values) ** 2 + 3 * len(values) + 2, k)) > done:
+        wave = solver(program, starts[done:stop])
+        for cand in wave.ends:
+            if not any(abs(cand.f_star - f) <= F_TIE * max(1.0, abs(f)) for f in values):
+                values.append(cand.f_star)
+        best, done, evaluations = _best([best, *wave.ends]), stop, evaluations + wave.evaluations
     return replace(best, evaluations=evaluations)
+
+
+def _best(ends: list[SolveResult]) -> SolveResult:
+    """The end ``_better`` picks, each end against the best before it."""
+    return reduce(lambda best, end: end if _better(end, best) else best, ends)
 
 
 def _better(a: SolveResult, b: SolveResult) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -442,6 +443,96 @@ class TestSqp:
         bases = [b[0].tolist() for b in batches]
         assert all(a != b for a, b in zip(bases, bases[1:]))
 
+    @staticmethod
+    def nan_program():
+        """NaN right of x1 = 0.5 on the unit square."""
+        return ScalarProgram(
+            objective=lambda x: np.where(x[..., 0] > 0.5, np.nan, (x**2).sum(axis=-1)),
+            region=Region.unit_cube(2),
+            descriptor="NaN right of 0.5",
+        )
+
+    def test_nan_score_is_rejected(self):
+        """A NaN in a round's values names the program and the first point
+        that gave it, alone or in a block of several starts."""
+        prog = self.nan_program()
+        message = re.escape("NaN right of 0.5: score is NaN at point [0.75, 0.25]")
+        with pytest.raises(ValueError, match=message):
+            sqp(prog, np.array([0.75, 0.25]))
+        with pytest.raises(ValueError, match=message):
+            sqp(prog, np.array([[-0.5, 0.0], [0.75, 0.25], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_is_rejected(self, bad):
+        prog = self.nan_program()
+        message = re.escape(f"NaN right of 0.5: start {[bad, 0.0]} is not finite")
+        with pytest.raises(ValueError, match=message):
+            sqp(prog, np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match=message):
+            sqp(prog, np.array([[-0.5, 0.0], [bad, 0.0], [0.0, 0.5]]))
+
+
+def counted(prog, count):
+    """The program with its ``score`` (or its goals' gap) counting calls and
+    points in ``count``."""
+    def wrap(fn):
+        def wrapped(pts):
+            count["calls"] += 1
+            count["points"] += len(pts)
+            return fn(pts)
+        return wrapped
+
+    if prog.goals is None:
+        return dataclasses.replace(prog, scorer=wrap(prog.score))
+    return dataclasses.replace(prog, goals=(wrap(prog.goals[0]), prog.goals[1]))
+
+
+class TestLockstep:
+    """``sqp`` on a block of starts runs them in lockstep, one ``score`` call
+    a round for every live start, and moves no start's end: the scorer may
+    round a value in a larger batch differently in the last bit, so ends
+    match the starts solved alone to F within 1e-9 max(1, |F|) and x* within
+    1e-6, with the same ``converged`` flags."""
+
+    @staticmethod
+    def assert_same_ends(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.converged == b.converged
+            assert abs(a.f_star - b.f_star) <= 1e-9 * max(1.0, abs(b.f_star))
+            assert a.x_star == pytest.approx(b.x_star, abs=1e-6)
+
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_block_ends_match_one_at_a_time(self, run_config, example_model, region, name):
+        """Every method, with the example's parameters, from the coarse-grid
+        incumbent and the 16 starts of ``rsmopt report``, in order and
+        reversed."""
+        region = run_config.region if region == "cube" else Region.hypersphere(1.2, dim=3)
+        cfg = MethodConfig(tau=TAU, w=WEIGHTS, r1=0.5, primary=2, epsilon=[3.9753, 0.0],
+                           confidence=0.95)
+        prog = METHODS[name][0](example_model, cfg, region=region)
+        starts = np.array([grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)])
+        alone = [sqp(prog, x0) for x0 in starts]
+        count = {"calls": 0, "points": 0}
+        block = sqp(counted(prog, count), starts)
+        self.assert_same_ends(block.ends, alone)
+        self.assert_same_ends(sqp(prog, starts[::-1]).ends[::-1], alone)
+        # one call a round: as many as the longest solve's batches, each of
+        # the live starts' (2n + 1)-point batches
+        assert count["calls"] == max(end.evaluations for end in block.ends) // 7
+        assert count["points"] == block.evaluations == sum(end.evaluations for end in block.ends)
+        best = solve._best(list(block.ends))
+        assert block.x_star.tolist() == best.x_star.tolist() and block.f_star == best.f_star
+
+    def test_one_start_gives_its_end(self, example_model):
+        prog = v_model(example_model)
+        x0 = np.array([0.5, -0.5, 0.9])
+        one, block = sqp(prog, x0), sqp(prog, x0[None])
+        assert one.ends == () and len(block.ends) == 1
+        assert block.ends[0].x_star.tolist() == one.x_star.tolist()
+        assert block.evaluations == one.evaluations
+
 
 class TestBatchedGradient:
     # f(x) = sum_i c_i (x_i - a_i)^2 + x_0 x_1, gradient in closed form
@@ -587,6 +678,37 @@ class TestBatchedGradient:
         scale = np.abs(vals[1:] - vals[0]).max() / np.abs(np.concatenate([h1, h2])).min()
         assert np.abs(jac - reference).max() <= 1e-12 * scale
 
+    @cases
+    @pytest.mark.parametrize("where", ["inside", "bounds"])
+    def test_block_is_each_point_alone(self, n, where):
+        """A block of points inside [-1, 1] (with one 1.5 steps from its
+        bounds), or on its bounds (every corner coordinate, mixed), is scored
+        in one call of fn on the points' own batches stacked, each equal to
+        the one-point call's by ``np.array_equal``; each value is the same
+        and each Jacobian within the 1e-12 bound above."""
+        rng = np.random.default_rng(10 + n)
+        lower, upper = -np.ones(n), np.ones(n)
+        if where == "inside":
+            block = np.vstack([rng.uniform(-0.9, 0.9, (4, n)), self.case(n, "near")[0]])
+        else:
+            block = np.vstack([lower, upper, rng.choice([-1.0, 1.0], (3, n))])
+        calls = []
+        values, jac = _value_and_jacobian(
+            lambda pts: calls.append(pts.copy()) or self.values(pts), block, lower, upper)
+        assert len(calls) == 1 and calls[0].shape == (5 * (2 * n + 1), n)
+        assert values.shape == (5, 2) and jac.shape == (5, 2, n)
+        for x, stencil, value, slopes in zip(block, calls[0].reshape(5, 2 * n + 1, n),
+                                             values, jac):
+            one = []
+            value1, slopes1 = _value_and_jacobian(
+                lambda pts: one.append(pts.copy()) or self.values(pts), x, lower, upper)
+            assert np.array_equal(stencil, one[0])
+            assert np.array_equal(value, value1)
+            vals = self.values(one[0])
+            steps = np.abs(one[0][1:] - x).max(axis=1)
+            scale = np.abs(vals[1:] - vals[0]).max() / steps.min()
+            assert np.abs(slopes - slopes1).max() <= 1e-12 * scale
+
     @pytest.mark.parametrize("n", [1, 8])
     def test_closed_form_in_one_and_eight_factors(self, n):
         """f(x) = sum_i c_i (x_i - a_i)^2 + x_0 x_{n-1}, inside the box and
@@ -704,8 +826,8 @@ class TestPolishDispatch:
         self.refuse(monkeypatch, "nelder_mead")
         calls = []
         real = solve.sqp
-        monkeypatch.setattr(solve, "sqp",
-                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        monkeypatch.setattr(solve, "sqp", lambda prog, x0: calls.extend(np.atleast_2d(x0))
+                            or real(prog, x0))
         prog = ScalarProgram(objective=v_model(example_model).objective,
                              region=Region.unit_cube(3), descriptor="hand-built")
         res = multistart(prog, k=2, seed=0)
@@ -891,7 +1013,13 @@ class TestBall:
         """When no start converges, the reported end has the least largest
         residual of all the solves."""
         ends, real = [], solve.sqp
-        monkeypatch.setattr(solve, "sqp", lambda *a: ends.append(real(*a)) or ends[-1])
+
+        def record(prog, x0):
+            res = real(prog, x0)
+            ends.extend(res.ends or [res])
+            return res
+
+        monkeypatch.setattr(solve, "sqp", record)
         res = multistart(self.ball_program(run_config, example_model, "modified-e-epsilon"))
         assert len(ends) == 17 and not any(end.converged for end in ends)
         assert np.max(res.constraint_residuals) == min(np.max(end.constraint_residuals)
@@ -1018,11 +1146,12 @@ class TestStoppingRule:
     @pytest.fixture
     def solves(self, monkeypatch):
         """multistart's result and its local solves, counted at ``sqp``,
-        which ``penalty_solve`` reaches through the module global."""
+        which ``penalty_solve`` reaches through the module global, as the
+        rows of each start or block of starts it is given."""
         calls = []
         real = solve.sqp
-        monkeypatch.setattr(solve, "sqp",
-                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        monkeypatch.setattr(solve, "sqp", lambda prog, x0: calls.extend(np.atleast_2d(x0))
+                            or real(prog, x0))
 
         def run(program, k=16, seed=0):
             calls.clear()
@@ -1061,6 +1190,93 @@ class TestStoppingRule:
         assert n_a == n_b == 8
         assert a.x_star.tolist() == b.x_star.tolist() and a.f_star == b.f_star
 
+    @staticmethod
+    def sequential(solver, incumbent, starts):
+        """The reference: ``multistart``'s loop before its waves, one start
+        per solve, the rule checked before each."""
+        best = solver(incumbent)
+        values = [best.f_star]
+        for n, x0 in enumerate(starts, start=1):
+            w = len(values)
+            if n > w + 2 and w * (n - 1) / (n - w - 2) < w + 0.5:
+                break
+            cand = solver(x0)
+            if not any(abs(cand.f_star - f) <= solve.F_TIE * max(1.0, abs(f)) for f in values):
+                values.append(cand.f_star)
+            if _better(cand, best):
+                best = cand
+        return best
+
+    @classmethod
+    def replay(cls, script, k):
+        """``multistart`` and the reference on a fake ``sqp`` that gives solve
+        i (0 for the incumbent, then start i) the scripted (f, converged,
+        largest residual) and x* = [i]: the solves each asked for, in
+        order, and the end each chose."""
+        prog = dataclasses.replace(constant_program(), region=Region.unit_cube(2))
+        incumbent = grid_search(prog, 0.1).x_star
+        starts = solve._start_points(prog, k, 0)
+        index = {x.tobytes(): i for i, x in enumerate(starts, start=1)}
+        asked = []
+
+        def end(x0):
+            i = index.get(x0.tobytes(), 0)
+            asked.append(i)
+            f, converged, residual = script[i]
+            return SolveResult(x_star=np.array([float(i)]), f_star=f,
+                               constraint_residuals=np.array([residual]),
+                               evaluations=1, converged=converged)
+
+        def fake(prog, x0):
+            if np.ndim(x0) == 1:
+                return end(x0)
+            ends = tuple(end(x) for x in x0)
+            return dataclasses.replace(solve._best(list(ends)), ends=ends,
+                                       evaluations=len(ends))
+
+        real = solve.sqp
+        solve.sqp = fake
+        try:
+            got = multistart(prog, k=k, seed=0)
+            got_asked = asked.copy()
+            asked.clear()
+            want = cls.sequential(lambda x0: end(np.asarray(x0)), incumbent, starts)
+        finally:
+            solve.sqp = real
+        return (got_asked, got), (asked, want)
+
+    # f values by solve: 0 the incumbent, then starts 1, 2, ...
+    @pytest.mark.parametrize("k, fs, solved", [
+        (16, [1.0] * 17, 8),                         # w never grows
+        (16, [1.0] * 7 + [2.0] + [1.0] * 9, 17),     # w grows at wave 1's last start
+        (16, [1.0] * 3 + [2.0] + [1.0] * 13, 17),    # w grows mid-wave
+        (40, [1.0] * 3 + [2.0] + [1.0] * 12 + [3.0] + [1.0] * 24, 30),  # at wave 2's last
+        (40, [1.0, 2.0, 3.0, 4.0] + [1.0] * 37, 41),  # w = 4 in wave 1: every start
+        (1, [1.0, 2.0], 2),                          # k = 1
+        (6, [1.0] * 7, 7),                           # k <= 6: every start
+        (3, [1.0, 1.0 + 1e-9, 1.0, 1.0], 4),         # within F_TIE: one value
+    ])
+    def test_waves_replay_the_sequential_rule(self, k, fs, solved):
+        script = [(f, True, 0.0) for f in fs]
+        (got_asked, got), (want_asked, want) = self.replay(script, k)
+        assert got_asked == want_asked == list(range(solved))
+        assert got.x_star.tolist() == want.x_star.tolist()
+        assert got.evaluations == grid_search(
+            dataclasses.replace(constant_program(), region=Region.unit_cube(2)), 0.1
+        ).evaluations + solved
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 40),
+           script=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 1.0 + 1e-9, 2.0, 3.0, 7.5]),
+                                     st.booleans(), st.sampled_from([0.0, 1e-3, 1e-2])),
+                           min_size=41, max_size=41))
+    def test_waves_replay_scripted_ends(self, k, script):
+        """Any script: the same starts solved in the same order, and the
+        same end chosen."""
+        (got_asked, got), (want_asked, want) = self.replay(script, k)
+        assert got_asked == want_asked
+        assert got.x_star.tolist() == want.x_star.tolist()
+
     @pytest.mark.parametrize("case", ["example cube", "example ball", "ccd10 cube",
                                       "ccd10 alpha-ball", "ccd6 cube", "ccd6 alpha-ball"])
     def test_never_worse_than_every_start(self, run_config, example_model, monkeypatch,
@@ -1079,8 +1295,16 @@ class TestStoppingRule:
                       else Region.hypersphere(8 ** 0.25, dim=3))
             programs = list(method_programs(model, region).values())
         solved = {}
-        monkeypatch.setattr(solve, "sqp",
-                            lambda prog, x0: solved[np.asarray(x0).tobytes()])
+
+        def answer(prog, x0):
+            """Each start of a block from the table, as ``sqp`` gives them."""
+            if np.ndim(x0) == 1:
+                return solved[np.asarray(x0).tobytes()]
+            ends = tuple(solved[x.tobytes()] for x in x0)
+            return dataclasses.replace(solve._best(list(ends)), ends=ends,
+                                       evaluations=sum(end.evaluations for end in ends))
+
+        monkeypatch.setattr(solve, "sqp", answer)
         for prog in programs:
             starts = [grid_search(prog, 0.1).x_star, *solve._start_points(prog, 16, 0)]
             every = [sqp(prog, x0) for x0 in starts]
