@@ -127,15 +127,15 @@ def grid_search(program: ScalarProgram, resolution: float) -> SolveResult:
     least score, and a later block wins only by more than 1e-15.
 
     One loop walks the blocks of ``_region_rows``: whole rows of the last
-    axis (a row longer than the block in segments), on a ball without the
-    rows that miss it and with the nodes that pass the norm test. A program
-    with a row scorer (``program.rows``, set for every built-in program
-    that reads ``moments``) scores a block of at most GRID_BLOCK_BYTES /
-    (8 max(r, n)) nodes on a ball, and / (8 r) on a box, from one basis
-    evaluation at its rows' leading coordinates (``fit.row_moments``), and
-    keeps the scores of the nodes inside. Any other program scores only
-    the nodes inside, at most GRID_CHUNK of them, through ``program.score``
-    on the block expanded to points (``_row_nodes``).
+    axis (a row longer than the block in segments), on a ball with the
+    indices of its nodes inside. A program with a row scorer (``rows``, set
+    for every built-in program that reads ``moments``) scores every node of
+    a block of at most GRID_BLOCK_BYTES / (8 max(r, n)) nodes on a ball, and
+    / (8 r) on a box, from one basis evaluation at its rows' leading
+    coordinates (``fit.row_moments``), and keeps the scores of the nodes
+    inside. Any other program scores only the nodes inside, at most
+    GRID_CHUNK of them, through ``program.score`` on the block expanded to
+    points (``_row_nodes``).
 
     A scorer forms a weighted sum over the responses as one matrix-vector
     product per block, and with the OpenBLAS kernels numpy ships that
@@ -235,11 +235,10 @@ def _region_rows(region: Region, resolution: float, block: int):
     unless a row is longer than ``block``. ``lead`` is decoded from the row
     indices (``np.unravel_index``) into a feature-major array, and a
     one-factor grid has one empty row. ``inside`` is None on a box. On a
-    ball the rows with no node in it are dropped from ``lead``, ``inside``
-    is the flat indices of the remaining nodes with ||x||^2 <= radius^2,
-    summed over a row-major (k, n) array (einsum's row sums round
-    differently on a column-major one when n >= 3), and a block with none
-    is skipped."""
+    ball a block keeps all its rows, ``inside`` is the flat indices of its
+    nodes with ||x||^2 <= radius^2, summed over a row-major (k, n) array
+    (einsum's row sums round differently on a column-major one when
+    n >= 3), and a block with none is skipped."""
     axes = _grid_axes(region, resolution)
     *lead_axes, last = axes
     sizes = [a.size for a in lead_axes]
@@ -253,27 +252,17 @@ def _region_rows(region: Region, resolution: float, block: int):
         lead = np.array([a.take(i) for a, i in zip(lead_axes, index)])
         lead = lead.reshape(-1, stop - start).T
         for t in segments:
-            rows, inside = lead, None
+            inside = None
             if region.kind == "hypersphere":
-                # rows whose leading coordinates alone pass radius^2, by more
-                # than rounding could move it, have no node inside
-                near = np.einsum("ij,ij->i", lead, lead) <= region.radius**2 * (1 + 1e-12)
-                if not near.all():
-                    rows = lead[near]
-                pts = np.empty((rows.shape[0], t.size, len(axes)))
-                pts[..., :-1] = rows[:, None, :]
+                pts = np.empty((lead.shape[0], t.size, len(axes)))
+                pts[..., :-1] = lead[:, None, :]
                 pts[..., -1] = t
                 pts = pts.reshape(-1, len(axes))
-                mask = np.einsum("ij,ij->i", pts, pts) <= region.radius**2
-                mask = mask.reshape(rows.shape[0], t.size)
-                hit = mask.any(axis=1)
-                if not hit.any():
+                inside = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= region.radius**2)
+                if not inside.size:
                     continue
-                if not hit.all():
-                    rows, mask = rows[hit], mask[hit]
-                inside = np.flatnonzero(mask)
             found = True
-            yield rows, t, inside
+            yield lead, t, inside
     if not found:
         raise ValueError(f"no grid node at resolution {resolution:g} "
                          f"lies inside the region")
@@ -434,11 +423,13 @@ def sqp(program: ScalarProgram, x0) -> SolveResult:
     A block's starts run in lockstep, each as a generator (``_sqp``): a round
     scores every live start's batch in one ``program.score`` (or goals' gap)
     call. It gives the end ``_better`` picks in start order, the evaluations
-    of all, and every end in ``ends``. A start that is not finite, or a NaN
-    in a round's values, is a ValueError naming the program and the point.
+    of all, and every end in ``ends``. An empty block, a start that is not
+    finite or a NaN in a round's values is a ValueError naming the program.
     """
     region, (lo, hi) = program.region, program.region.bounding_box()
     starts = np.atleast_2d(np.asarray(x0, dtype=float))
+    if not len(starts):
+        raise ValueError(f"{program.descriptor}: the block of starts is empty")
     if not np.isfinite(starts).all():
         raise ValueError(f"{program.descriptor}: start "
                          f"{starts[~np.isfinite(starts).all(axis=1)][0].tolist()} is not finite")
@@ -502,10 +493,10 @@ def _sqp(program: ScalarProgram, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray)
                     and mult[len(c):].min(initial=0.0) >= -tol)
 
     v = np.concatenate([x0, np.zeros(2 * r)])
-    state = at(v, *(yield x0))
-    if r:
-        v[n:] = np.maximum(np.concatenate([state[2], -state[2]]), 0.0)
-        state = at(v, *(yield x0))
+    values, jac = yield x0
+    if r:  # d+ and d- start at the parts of the gaps at x0, so c is 0 there
+        v[n:] = np.maximum(np.concatenate([values, -values]), 0.0)
+    state = at(v, values, jac)
     # the deviations enter linearly: their block of the Hessian starts near 0
     B = B0 = np.diag(np.repeat([1.0, 1e-6], [n, 2 * r])) if r else eye
     penalty, moved, W, phi_new = np.zeros(state[2].size), np.inf, [], state[0]

@@ -567,6 +567,22 @@ def test_method_field_the_method_does_not_read_is_data_error(small_config, metho
 
 
 @pytest.mark.parametrize("command", ["report", "optimize"])
+def test_unknown_method_in_config_is_data_error_naming_it(small_config, command, capsys,
+                                                          no_solve):
+    doc = json.loads(small_config.read_text())
+    doc["methods"].append({"name": "no-such-method"})
+    small_config.write_text(json.dumps(doc))
+    argv = [command, "--config", str(small_config)]
+    if command == "optimize":
+        argv += ["--method", "v-model"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"data error: bad config {small_config}: unknown method 'no-such-method'"]
+
+
+@pytest.mark.parametrize("command", ["report", "optimize"])
 def test_method_named_twice_is_data_error_naming_it(small_config, command, capsys,
                                                     no_solve):
     doc = json.loads(small_config.read_text())
@@ -1016,6 +1032,19 @@ def test_line_past_the_csv_field_limit_is_data_error(small_config, tmp_path, whe
     assert "field larger than field limit" in err
 
 
+@pytest.mark.parametrize("wide, text, message", [
+    (True, "ID,x1,x2,x3\n1,0,0,0\n", "no response replicate columns"),
+    (False, "", "empty file"),
+    (True, "", "empty file"),
+], ids=["wide without responses", "empty long", "empty wide"])
+def test_csv_without_cells_is_data_error(small_config, tmp_path, wide, text, message,
+                                         capsys):
+    assert fit_on(small_config, tmp_path, text, wide) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"data error: {tmp_path / 'data.csv'}: {message}\n"
+
+
 @pytest.mark.parametrize("wide", ["false", "true", 1, None])
 def test_wide_must_be_a_boolean(small_config, wide, capsys):
     doc = json.loads(small_config.read_text())
@@ -1124,6 +1153,20 @@ class TestReport:
         assert report["failed"]
         assert report["rows"][0]["error"] == (
             "ValueError: no grid node at resolution 0.1 lies inside the region")
+
+    def test_failed_method_prints_a_row_of_dashes(self, small_config, tmp_path, capsys):
+        doc = json.loads(small_config.read_text())
+        # the coarse grid's 0.1 step puts no node inside a 0.05 ball
+        doc["region"] = {"kind": "hypersphere", "radius": 0.05, "dim": 3}
+        doc["methods"] = [{"name": "v-model"}]
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--config", str(path), "--format", "md"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("| method | x1 | x2 | x3 | F | Y1(x) | Y2(x) | Var(Y1) | Var(Y2) "
+                            "| Cov(Y1,Y2) |")
+        assert lines[2] == "| v-model |" + " -- |" * 9
+        assert lines[3].startswith("| baseline | 1.000 | 1.000 | -1.000 | -- |")
 
     def test_var_cov_recomputed_from_model(self, example_model, small_config):
         config = load_config(small_config)

@@ -29,6 +29,7 @@ from rsmopt.solve import (
     _better,
     _grid_axes,
     _nondominated_mask,
+    _qp,
     _region_grid,
     _region_rows,
     _row_nodes,
@@ -126,7 +127,8 @@ class TestGridSearch:
     def test_region_rows_walk_the_masked_meshgrid(self, case):
         """The one grid walker against meshgrid and the norm test on the
         row-major nodes: same nodes in the same order, at most ``block``
-        scored per block, and on a ball no row without a node inside."""
+        nodes per block, and on a ball ``inside`` strictly increasing flat
+        indices into the block's nodes."""
         region, resolution, block = case
         axes = _grid_axes(region, resolution)
         want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -137,7 +139,8 @@ class TestGridSearch:
             assert lead.shape[0] * t.size <= block
             nodes = _row_nodes(lead, t)
             if inside is not None:
-                assert np.array_equal(np.unique(inside // t.size), np.arange(lead.shape[0]))
+                assert inside.size and (np.diff(inside) > 0).all()
+                assert 0 <= inside[0] and inside[-1] < lead.shape[0] * t.size
                 nodes = nodes[inside]
             got.append(nodes)
         assert np.array_equal(np.concatenate(got), want)
@@ -391,6 +394,27 @@ class TestSqp:
             res = sqp(prog, x0)
             assert res.f_star <= float(prog.objective(region.clip(x0))) + 1e-12
 
+    @pytest.mark.parametrize("region", ["cube", "ball"])
+    def test_goal_programming_scores_each_point_once(self, run_config, example_model,
+                                                     region):
+        """In deviation form d+ and d- start from the gaps of x0's first
+        batch, so no call of the gap scores the batch of the call before
+        it, and the evaluations are the points scored."""
+        region = run_config.region if region == "cube" else Region.hypersphere(1.2, dim=3)
+        spec = next(m for m in run_config.methods if m.name == "goal-programming")
+        prog = build_program(example_model, spec, region)
+        gap, w = prog.goals
+        batches = []
+
+        def recorded(pts):
+            batches.append(np.array(pts))
+            return gap(pts)
+
+        res = sqp(dataclasses.replace(prog, goals=(recorded, w)), grid_search(prog, 0.1).x_star)
+        assert len(batches) > 1
+        assert all(not np.array_equal(a, b) for a, b in zip(batches, batches[1:]))
+        assert res.evaluations == sum(len(b) for b in batches)
+
     def test_keeps_the_start_when_every_later_point_is_worse(self):
         # x0 sits on a kink, where the forward differences mislead
         kinked = ScalarProgram(
@@ -462,6 +486,11 @@ class TestSqp:
         with pytest.raises(ValueError, match=message):
             sqp(prog, np.array([[-0.5, 0.0], [0.75, 0.25], [0.0, 0.5]]))
 
+    def test_empty_block_is_rejected(self):
+        prog = self.nan_program()
+        with pytest.raises(ValueError, match="NaN right of 0.5: the block of starts is empty"):
+            sqp(prog, np.zeros((0, 2)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_is_rejected(self, bad):
         prog = self.nan_program()
@@ -485,6 +514,23 @@ def counted(prog, count):
     if prog.goals is None:
         return dataclasses.replace(prog, scorer=wrap(prog.score))
     return dataclasses.replace(prog, goals=(wrap(prog.goals[0]), prog.goals[1]))
+
+
+def test_qp_with_repeated_equality_rows_takes_the_least_squares_step(monkeypatch):
+    """Two equal rows of E make the KKT matrix singular, so ``np.linalg.solve``
+    raises and the step comes from ``lstsq``: the least-norm d on E d = e,
+    within the inactive bounds, with finite multipliers."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    E, e = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0])
+    G, b = np.concatenate([np.eye(2), -np.eye(2)]), np.full(4, -1.0)
+    d, working, lam, mu = _qp(np.eye(2), np.zeros(2), E, e, G, b, [])
+    assert calls
+    assert E @ d == pytest.approx(e, abs=1e-12)
+    assert d == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert working == [] and mu.size == 0
+    assert lam.shape == (2,) and np.isfinite(lam).all()
 
 
 class TestLockstep:
